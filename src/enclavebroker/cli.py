@@ -305,7 +305,9 @@ def main(argv: list[str] | None = None) -> int:
             broker = build_broker(args.topology, args.directory, seed=args.seed,
                                   retention_days=args.retention_days)
             server = BrokerServer(broker, parse_address(args.listen))
-            print(json.dumps({"listening": f"{server.address[0]}:{server.address[1]}"}))
+            # Flushed, so a supervisor reading a pipe learns the port while we serve.
+            print(json.dumps({"listening": f"{server.address[0]}:{server.address[1]}"}),
+                  flush=True)
             try:
                 server.serve_forever()
             except KeyboardInterrupt:

@@ -69,7 +69,7 @@ ACTIONS = frozenset(
 EXPORT_FIELDS = ("seq", "at", "actor", "action", "object", "detail", "prev_hash", "this_hash")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     seq: int
     at: int
@@ -152,7 +152,11 @@ class AuditLedger:
         self._clock = clock
         self._events: list[AuditEvent] = []
         self._last_hash = GENESIS_HASH
-        self._by_session: dict[str, list[int]] = {}
+        # Indices hold the events themselves, so a lookup touches only the
+        # events it returns, and a report only its project's events.
+        self._by_session: dict[str, list[AuditEvent]] = {}
+        self._by_project: dict[str, list[AuditEvent]] = {}
+        self._affiliates: set[str] = set()
         self._spans: dict[str, list[_MappingSpan]] = {}
         self._span_by_session: dict[str, _MappingSpan] = {}
         # Wired by the broker facade; reports need to know the project exists.
@@ -184,7 +188,13 @@ class AuditLedger:
         elif "session" in event.detail:
             sid = event.detail["session"]
         if sid is not None:
-            self._by_session.setdefault(sid, []).append(event.seq)
+            self._by_session.setdefault(sid, []).append(event)
+        project = event.detail.get("project")
+        if project is not None:
+            self._by_project.setdefault(project, []).append(event)
+        if (event.action == "register" and event.detail.get("affiliation") == "affiliate"
+                and "netid" in event.detail):
+            self._affiliates.add(event.detail["netid"])
         if event.action == "map":
             span = _MappingSpan(
                 session_id=event.object,
@@ -221,10 +231,10 @@ class AuditLedger:
         raise NoSessionAtTime(f"{arbitrary_user} owned no session at t={at}")
 
     def reconstruct_session(self, session_id: str) -> list[AuditEvent]:
-        seqs = self._by_session.get(session_id)
-        if not seqs:
+        events = self._by_session.get(session_id)
+        if not events:
             raise UnknownSession(session_id)
-        return [self._events[s - 1] for s in seqs]
+        return list(events)
 
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute every digest; returns (ok, first bad seq).
@@ -256,8 +266,9 @@ class AuditLedger:
                           period_end: int) -> ComplianceReport:
         if not self.project_exists(project_id):
             raise UnknownProject(project_id)
-        in_period = [e for e in self._events if period_start <= e.at <= period_end]
-        of_project = [e for e in in_period if e.detail.get("project") == project_id]
+        project_events = self._by_project.get(project_id, [])
+        # A linear filter: `at` is not guaranteed monotonic, so no bisect.
+        of_project = [e for e in project_events if period_start <= e.at <= period_end]
 
         sessions_by_mode: dict[str, int] = {"vpn": 0, "rdp": 0}
         for e in of_project:
@@ -277,9 +288,7 @@ class AuditLedger:
         # so its allocation can be questioned.
         provisioned: dict[str, int] = {}
         destroyed: dict[str, int] = {}
-        for e in self._events:
-            if e.detail.get("project") != project_id:
-                continue
+        for e in project_events:
             if e.action == "provision":
                 provisioned[e.object] = e.at
             elif e.action == "destroy":
@@ -293,18 +302,14 @@ class AuditLedger:
         )
 
         # Affiliates acting as stewards are permitted but surfaced for review.
-        affiliates = {
-            e.detail["netid"] for e in self._events
-            if e.action == "register" and e.detail.get("affiliation") == "affiliate"
-        }
         steward_lists = [
-            e.detail.get("stewards", "") for e in self._events
-            if e.action == "project-create" and e.detail.get("project") == project_id
+            e.detail.get("stewards", "") for e in project_events
+            if e.action == "project-create"
         ]
         stewards: set[str] = set()
         for entry in steward_lists:
             stewards.update(s for s in entry.split(",") if s)
-        affiliate_stewards = sorted(stewards & affiliates)
+        affiliate_stewards = sorted(stewards & self._affiliates)
 
         return ComplianceReport(
             project_id=project_id,

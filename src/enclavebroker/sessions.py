@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .clock import SimClock
 from .enclave import AccessContext, Enclave, INTERNET, VmState
@@ -134,12 +135,13 @@ class SessionBroker:
         self.retention_days = retention_days
         self.allow_concurrent = allow_concurrent
         self._sessions: dict[str, Session] = {}
+        # Open sessions only, so per-step checks cost O(open), not O(history).
+        self._open: dict[str, Session] = {}
         self._credentials: dict[str, EphemeralCredential] = {}
         self._by_secret: dict[str, str] = {}
         self._active_by_user: dict[str, str] = {}
         self._vm_users: dict[str, ArbitraryUser] = {}
         self._used_names: set[str] = set()
-        self._used_secrets: set[str] = set()
         self._bindings: dict[tuple[str, str], RetentionBinding] = {}
         self._session_seq = 0
         self._credential_seq = 0
@@ -162,8 +164,13 @@ class SessionBroker:
         return self._bindings.get((principal, project_id))
 
     def open_sessions(self) -> list[Session]:
-        return [s for _, s in sorted(self._sessions.items())
-                if s.state is SessionState.OPEN]
+        return self._open_where(lambda s: True)
+
+    def _open_where(self, match: Callable[[Session], bool]) -> list[Session]:
+        # A sorted snapshot: ids fix the order in which closes reach the
+        # ledger, and _finish removes entries from _open while callers loop.
+        return sorted((s for s in self._open.values() if match(s)),
+                      key=lambda s: s.id)
 
     # -- naming and secrets -------------------------------------------------------
 
@@ -175,11 +182,8 @@ class SessionBroker:
                 return name
 
     def _mint_secret(self) -> str:
-        while True:
-            secret = f"{self._rng.getrandbits(128):032x}"
-            if secret not in self._used_secrets:
-                self._used_secrets.add(secret)
-                return secret
+        # 128 random bits: a collision is not worth a set of every secret.
+        return f"{self._rng.getrandbits(128):032x}"
 
     def mint_credential(self, arbitrary_user: str, session_id: str) -> EphemeralCredential:
         if arbitrary_user in self._active_by_user:
@@ -238,9 +242,10 @@ class SessionBroker:
             raise UnmanagedEndpoint("vpn access requires a managed endpoint")
         netid = principal.netid
         if not self.allow_concurrent:
-            for session in self.open_sessions():
-                if session.principal == netid and session.project_id == project_id:
-                    raise SessionAlreadyOpen(session.id)
+            clash = self._open_where(
+                lambda s: s.principal == netid and s.project_id == project_id)
+            if clash:
+                raise SessionAlreadyOpen(clash[0].id)
 
         service = MODE_SERVICE[mode]
         binding = self._bindings.get((netid, project_id))
@@ -308,6 +313,7 @@ class SessionBroker:
             gateway_path=list(path.path),
         )
         self._sessions[session_id] = session
+        self._open[session_id] = session
 
         self._ledger.append(netid, "authn", session_id, {
             "netid": netid,
@@ -419,26 +425,26 @@ class SessionBroker:
                         mode: AccessMode) -> list[str]:
         """Revocation cascade: close matching open sessions immediately."""
         closed = []
-        for session in self.open_sessions():
-            if (session.principal == netid and session.project_id == project_id
-                    and session.mode == mode):
-                self._finish(session, self._clock.now, action="revoke-forced-close",
-                             retain=True)
-                closed.append(session.id)
+        for session in self._open_where(
+                lambda s: s.principal == netid and s.project_id == project_id
+                and s.mode == mode):
+            self._finish(session, self._clock.now, action="revoke-forced-close",
+                         retain=True)
+            closed.append(session.id)
         return closed
 
     def handle_vm_destroyed(self, vm_id: str) -> None:
         """VM teardown closes any session riding it; nothing is retained."""
-        for session in self.open_sessions():
-            if session.vm_id == vm_id:
-                self._finish(session, self._clock.now, action="close",
-                             retain=False, cause="vm-destroyed")
+        for session in self._open_where(lambda s: s.vm_id == vm_id):
+            self._finish(session, self._clock.now, action="close",
+                         retain=False, cause="vm-destroyed")
 
     def _finish(self, session: Session, now: int, *, action: str,
                 retain: bool, cause: str | None = None) -> None:
         self._destroy_credential(session.credential_id, session)
         self._unalign_groups(session)
         session.state = SessionState.CLOSED
+        del self._open[session.id]
         session.closed_at = now
         detail = {
             "project": session.project_id,

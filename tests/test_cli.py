@@ -176,6 +176,36 @@ class TestCliEntry:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_serve_announces_its_port_on_a_pipe(self):
+        """With stdout on a pipe, the listening line arrives while the server
+        runs, so a supervisor that asked for port 0 learns the port."""
+        import os
+        import select
+        import subprocess
+        import sys
+        # Block-buffered stdout, as a supervisor that sets nothing gets it.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "enclavebroker.cli", "serve",
+             "--topology", str(TOPOLOGY), "--directory", str(DIRECTORY),
+             "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no listening line within 10 s"
+            host, port = json.loads(proc.stdout.readline())["listening"].rsplit(":", 1)
+            response = request((host, int(port)), "verify_mfa",
+                               {"netid": "res1", "proof": "mfa-res1"})
+            assert response["ok"]
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
 
 class TestWireService:
     @pytest.fixture

@@ -13,6 +13,7 @@ from enclavebroker.errors import (
     UnknownSession,
 )
 from enclavebroker.ledger import GENESIS_HASH, AuditEvent, event_hash
+from enclavebroker.sessions import DAY
 
 from conftest import make_broker, open_rdp
 from oracles import recount_report, resolve_by_scan
@@ -217,6 +218,47 @@ class TestComplianceReport:
         b.policy.register_project("admin1", "guest-led", "restricted", {"vis1"})
         report = b.ledger.compliance_report("guest-led", 0, b.clock.now)
         assert report.affiliate_stewards == ["vis1"]
+
+    def test_matches_recount_oracle_across_windows(self):
+        """The per-project index answers every window as a full rescan does:
+        an affiliate steward, an idle VM, a VM destroyed mid-history, and
+        another project's sessions interleaved."""
+        b = make_broker()
+        b.directory.register_user("vis1", "affiliate", "stw1", mfa_secret="mfa-vis1")
+        b.policy.register_project("admin1", "guest-led", "restricted", {"stw1", "vis1"},
+                                  zone="research-subnet")
+        b.clock.advance(DAY)
+        idle = b.enclave.provision_vm("guest-led", "research-subnet", 4, 16)
+        b.clock.advance(DAY)
+        first, _ = open_rdp(b, "res1", "guest-led")
+        b.egress.attempt_file_egress(first.id, "a.csv")
+        b.egress.attempt_clipboard(first.id, "out")
+        b.sessions.close_session(first.id)
+        elsewhere, _ = open_rdp(b, "res2", "study")
+        b.clock.advance(3 * DAY)
+        b.enclave.destroy_vm(first.vm_id)
+        b.sessions.close_session(elsewhere.id)
+        b.clock.advance(3 * DAY)
+        second, _ = open_rdp(b, "res2", "guest-led")
+        b.policy.revoke_access("stw1", "guest-led", "res2", "rdp")
+        b.clock.advance(10 * DAY)
+        third, _ = open_rdp(b, "res3", "guest-led")
+        b.sessions.close_session(third.id)
+        now = b.clock.now
+
+        lines = b.ledger.export_lines()
+        windows = [(0, now), (now - 7 * DAY, now), (4 * DAY, 10 * DAY),
+                   (-DAY, -1), (now, 0)]
+        for start, end in windows:
+            report = b.ledger.compliance_report("guest-led", start, end).to_wire()
+            expected = recount_report(lines, "guest-led", start, end)
+            assert {k: report[k] for k in expected} == expected, (start, end)
+            assert report["affiliate_stewards"] == ["vis1"]
+        whole = b.ledger.compliance_report("guest-led", 0, now)
+        assert whole.efficiency_flags == [idle.id]
+        assert whole.sessions_by_mode["rdp"] == 3
+        middle = b.ledger.compliance_report("guest-led", 4 * DAY, 10 * DAY)
+        assert middle.efficiency_flags == [idle.id, first.vm_id]
 
 
 class TestTraceabilityTotality:

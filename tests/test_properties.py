@@ -10,7 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from enclavebroker.errors import BrokerError, ContentDestroyed, UntrustedIssuer
 from enclavebroker.identity import FederatedAssertion
 from enclavebroker.model import AccessMode
-from enclavebroker.sessions import DAY, AuthOutcome
+from enclavebroker.sessions import DAY, AuthOutcome, SessionState
 
 from conftest import authenticate, make_broker
 from oracles import bfs_reachable
@@ -207,6 +207,13 @@ class SessionLifecycle(RuleBasedStateMachine):
         for group in ("study-rdp", "study-vpn"):
             for member in self.broker.directory.shadow_members(group):
                 assert member in open_aliases
+
+    @invariant()
+    def open_index_matches_history(self):
+        sessions = self.broker.sessions
+        expected = [sid for sid, s in sorted(sessions._sessions.items())
+                    if s.state is SessionState.OPEN]
+        assert [s.id for s in sessions.open_sessions()] == expected
 
 
 TestSessionLifecycle = SessionLifecycle.TestCase

@@ -104,6 +104,34 @@ class TestOpenSession:
         authn = broker.ledger.reconstruct_session(session.id)[0]
         assert authn.detail["method"] == "federated"
 
+    def test_revoke_and_vm_destroy_close_through_the_open_index(self):
+        b = make_broker(allow_concurrent=True)
+        first, _ = open_rdp(b)
+        second, _ = b.sessions.open_session(authenticate(b, "res1"), "study", "rdp", False)
+        other, _ = open_rdp(b, "res2")
+        b.policy.revoke_access("stw1", "study", "res1", "rdp")
+        forced = [e.object for e in b.ledger.events if e.action == "revoke-forced-close"]
+        assert forced == [first.id, second.id]
+        assert b.sessions.open_sessions() == [other]
+        b.enclave.destroy_vm(other.vm_id)
+        assert other.state is SessionState.CLOSED
+        last = b.ledger.events[-1]
+        assert (last.action, last.object, last.detail["cause"]) == \
+            ("close", other.id, "vm-destroyed")
+        assert b.sessions.open_sessions() == []
+
+    def test_forced_closes_follow_id_order_past_six_digits(self):
+        """Forced closes reach the ledger in the string order of session ids,
+        so s-1000000 closes before s-999999."""
+        b = make_broker(allow_concurrent=True)
+        b.sessions._session_seq = 999_998
+        first, _ = open_rdp(b)
+        second, _ = b.sessions.open_session(authenticate(b, "res1"), "study", "rdp", False)
+        assert (first.id, second.id) == ("s-999999", "s-1000000")
+        b.policy.revoke_access("stw1", "study", "res1", "rdp")
+        forced = [e.object for e in b.ledger.events if e.action == "revoke-forced-close"]
+        assert forced == ["s-1000000", "s-999999"]
+
 
 class TestMintCredential:
     def test_second_mint_while_active(self, broker):
