@@ -1,6 +1,6 @@
 """Broker facade: wires the modules together and exposes every operation
-through one dispatch table shared by the CLI, the scenario runner, and the
-wire service.
+through one declarative table, ``OPS``, shared by the CLI, the scenario
+runner, and the wire service.
 
 All state-mutating calls funnel through a single lock, which is the
 serialization point promised by each module's concurrency contract.
@@ -14,8 +14,8 @@ from typing import Any, Callable
 
 from .clock import SimClock
 from .egress import EgressControl
-from .enclave import AccessContext, Enclave, INTERNET
-from .errors import MfaRequired, Unauthorized, UnknownOp
+from .enclave import AccessContext, Enclave, INTERNET, RuleDirection
+from .errors import BadRequest, MfaRequired, Unauthorized, UnknownOp
 from .identity import (
     Affiliation,
     AuthenticatedPrincipal,
@@ -24,10 +24,219 @@ from .identity import (
     GroupKind,
 )
 from .ledger import AuditLedger
-from .model import AccessMode, Decision
+from .model import AccessMode, Decision, Tier
 from .pipeline import DeliveryPipeline
-from .policy import PolicyEngine
+from .policy import PROTECTED_VRF, PolicyEngine
 from .sessions import SessionBroker
+
+REQUIRED = object()  # the default of an argument a request must carry
+
+# What each declared type accepts. A str Enum or a tuple accepts its values.
+_ACCEPTS: dict[Any, tuple[Callable[[Any], bool], str]] = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    list: (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+           "a list of strings"),
+    AuthenticatedPrincipal: (lambda v: isinstance(v, str), "a netid string"),
+}
+
+
+class Arg:
+    """One declared argument of an op: its key in the request, its type, and
+    its default (``REQUIRED`` when a request must carry it).
+
+    The type is ``str``, ``int`` (not a bool), ``float`` (an int is accepted
+    and converted), ``bool``, ``list`` (of strings),
+    ``dict``, a str ``Enum`` or a tuple of allowed strings (the string itself
+    is passed on), or ``AuthenticatedPrincipal``: a netid that the broker
+    resolves to the principal that passed MFA. A ``keyword`` argument goes to
+    the target by that keyword, the others by position in declared order.
+    """
+
+    __slots__ = ("name", "kind", "default", "keyword", "accepts", "expects")
+
+    def __init__(self, name: str, kind: Any = str, default: Any = REQUIRED,
+                 keyword: str | None = None):
+        self.name = name
+        self.kind = kind
+        self.default = default
+        self.keyword = keyword
+        if kind in _ACCEPTS:
+            self.accepts, self.expects = _ACCEPTS[kind]
+        else:
+            values = tuple(m.value for m in kind) if isinstance(kind, type) else kind
+            self.accepts = lambda v: isinstance(v, str) and v in values
+            self.expects = "one of " + ", ".join(values)
+
+
+def kwarg(name: str, kind: Any = str, default: Any = REQUIRED,
+          keyword: str | None = None) -> Arg:
+    """An argument passed by keyword, under its own name unless renamed."""
+    return Arg(name, kind, default, keyword or name)
+
+
+class Op:
+    """One row of ``OPS``.
+
+    ``target`` is ``"module.method"`` on the broker (``"sessions.close_session"``)
+    or the name of a broker method; it is looked up on every call, so a
+    method replaced after import is the one called. ``out`` shapes the
+    result: by default a dict is returned as is and anything else as its
+    ``to_wire()``; a str puts the result under that key; a callable is
+    applied to the result.
+    """
+
+    __slots__ = ("owner", "method", "args", "out", "principals")
+
+    def __init__(self, target: str, *args: Arg, out: str | Callable | None = None):
+        self.owner, _, self.method = target.rpartition(".")
+        self.args = args
+        self.out = out
+        # Principal arguments are positional; they are resolved once every
+        # argument has been checked, so a malformed request never reaches
+        # the MFA check.
+        self.principals = tuple(i for i, a in enumerate(args)
+                                if a.kind is AuthenticatedPrincipal)
+
+    def parse(self, op: str, args: dict) -> tuple[list, dict]:
+        """Check the request's arguments and return them as (positional,
+        keywords) for the target. None counts as absent. Values pass on as
+        sent; only an int given for a float is converted."""
+        positional, keywords = [], {}
+        for arg in self.args:
+            value = args.get(arg.name)
+            if value is None:
+                if arg.default is REQUIRED:
+                    raise BadRequest(f"{op}: missing argument {arg.name!r}")
+                value = arg.default
+            elif not arg.accepts(value):
+                raise BadRequest(f"{op}: argument {arg.name!r} must be {arg.expects}")
+            elif arg.kind is float:
+                value = float(value)
+            if arg.keyword is None:
+                positional.append(value)
+            else:
+                keywords[arg.keyword] = value
+        return positional, keywords
+
+
+_SESSION_ARGS = (Arg("netid", AuthenticatedPrincipal), Arg("project"),
+                 Arg("mode", AccessMode), Arg("endpoint_managed", bool, False),
+                 kwarg("src_zone", str, INTERNET))
+
+
+def _client_view(opened) -> dict:
+    return opened[1].to_wire()  # (session, view): the client sees only the view
+
+
+OPS: dict[str, Op] = {
+    # clock
+    "advance": Op("clock.advance", Arg("seconds", int), out="now"),
+    # identity
+    "register_user": Op(
+        "directory.register_user", Arg("netid"), Arg("affiliation", Affiliation, "member"),
+        Arg("sponsor", str, None), kwarg("mfa_secret", str, None),
+        kwarg("actor", str, "broker"),
+        out=lambda u: {"netid": u.netid, "affiliation": u.affiliation.value,
+                       "sponsor": u.sponsor, "active": u.active}),
+    "deactivate_user": Op("directory.deactivate_user", Arg("actor"), Arg("netid"),
+                          out="deactivated"),
+    # No `now` argument: an assertion is judged at the broker's own time.
+    "assert_federated": Op(
+        "_assert_federated", Arg("issuer"), Arg("subject"), Arg("issued_at", int),
+        Arg("expires_at", int), Arg("mfa_satisfied", bool, False),
+        Arg("attributes", dict, None)),
+    "verify_mfa": Op("_verify_mfa", Arg("netid"), Arg("proof", str, None)),
+    "create_group": Op("_create_group", Arg("name"), Arg("kind", GroupKind, "role"),
+                       Arg("owning_project", str, None), Arg("actor", str, "broker")),
+    "set_membership": Op(
+        "directory.set_membership", Arg("actor"), Arg("group"), Arg("netid"),
+        Arg("action", ("add", "remove")),
+        out=lambda g: {"group": g.name, "members": sorted(g.members)}),
+    # policy
+    "register_project": Op(
+        "policy.register_project", Arg("actor"), Arg("id"), Arg("classification", Tier),
+        Arg("stewards", list, ()), Arg("role_rules", list, None),
+        kwarg("zone", str, PROTECTED_VRF), kwarg("brokers", list, None),
+        kwarg("proxy_whitelist", list, None), kwarg("retention_days", int, None),
+        out=lambda p: {"project": p.id, "tier": p.classification.value,
+                       "vpn_group": p.vpn_group, "rdp_group": p.rdp_group, "zone": p.zone}),
+    "grant_access": Op("policy.grant_access", Arg("actor"), Arg("project"), Arg("netid"),
+                       Arg("mode", AccessMode)),
+    "revoke_access": Op("policy.revoke_access", Arg("actor"), Arg("project"), Arg("netid"),
+                        Arg("mode", AccessMode)),
+    "check_access": Op("policy.check_access", Arg("netid", AuthenticatedPrincipal),
+                       Arg("project"), Arg("mode", AccessMode)),
+    "authorize_mode": Op("policy.authorize_mode", Arg("netid", AuthenticatedPrincipal),
+                         Arg("project"),
+                         out=lambda modes: {"modes": sorted(m.value for m in modes)}),
+    "set_proxy_whitelist": Op(
+        "policy.set_proxy_whitelist", Arg("actor"), Arg("project"), Arg("origins", list),
+        out=lambda p: {"project": p.id, "origins": sorted(p.proxy_whitelist)}),
+    "set_brokers": Op("policy.set_brokers", Arg("actor"), Arg("project"), Arg("netids", list),
+                      out=lambda p: {"project": p.id, "brokers": sorted(p.brokers)}),
+    # enclave
+    "provision_vm": Op("enclave.provision_vm", Arg("project"), Arg("zone"), Arg("cpu", int),
+                       Arg("ram", int), Arg("dedicated", bool, False)),
+    "resize_vm": Op("enclave.resize_vm", Arg("vm"), Arg("cpu", int), Arg("ram", int)),
+    "destroy_vm": Op("enclave.destroy_vm", Arg("vm")),
+    "read_disk": Op("_read_disk", Arg("vm")),
+    "write_disk": Op("_write_disk", Arg("vm"), Arg("token")),
+    "create_share": Op("enclave.create_share", Arg("project"), Arg("protocol"),
+                       Arg("capacity_tb", float), Arg("dedicated_device", bool, False),
+                       Arg("encrypted_at_rest", bool, False)),
+    "set_share_acl": Op("enclave.set_share_acl", Arg("actor"), Arg("share"),
+                        Arg("groups", list, ())),
+    "is_reachable": Op("_is_reachable", Arg("src"), Arg("dst"), Arg("service"),
+                       Arg("session", str, None)),
+    "register_exception": Op(
+        "enclave.register_exception", Arg("actor"), kwarg("service"), kwarg("src"),
+        kwarg("dst"), kwarg("direction", RuleDirection, "inbound"),
+        kwarg("documented_by", str, ""), kwarg("id", str, None, "rule_id"), out="rule"),
+    "proxy_fetch": Op("enclave.proxy_fetch", Arg("project"), Arg("url")),
+    # sessions
+    "open_session": Op("sessions.open_session", *_SESSION_ARGS, out=_client_view),
+    "resume_session": Op("sessions.resume_session", *_SESSION_ARGS, out=_client_view),
+    "close_session": Op("sessions.close_session", Arg("session"),
+                        out=lambda s: {"session_id": s.id, "state": s.state.value,
+                                       "closed_at": s.closed_at}),
+    "mint_credential": Op("sessions.mint_credential", Arg("arbitrary_user"), Arg("session"),
+                          out=lambda c: {"credential": c.id, "state": c.state.value}),
+    "align_groups": Op("sessions.align_groups", Arg("session"), out="aligned"),
+    "authenticate_to_vm": Op("sessions.authenticate_to_vm", Arg("secret"), Arg("vm"),
+                             out=lambda outcome: {"outcome": outcome.value}),
+    "expire_retained": Op("sessions.expire_retained", out="reclaimed"),
+    # egress
+    "attempt_clipboard": Op("egress.attempt_clipboard", Arg("session"),
+                            Arg("direction", ("in", "out"), "out")),
+    "attempt_file_egress": Op("egress.attempt_file_egress", Arg("session"),
+                              Arg("object", str, "file")),
+    "submit_export": Op("egress.submit_export", Arg("session"), Arg("payload")),
+    "adjudicate_export": Op("egress.adjudicate_export", Arg("broker"), Arg("request"),
+                            Arg("verdict", ("approved", "denied")), Arg("rationale")),
+    # pipeline
+    "submit_image": Op("pipeline.submit_image", Arg("builder"), Arg("project"),
+                       Arg("payload"), Arg("source", str, "campus")),
+    "vet_image": Op("pipeline.vet_image", Arg("vetter"), Arg("image"), Arg("report", str, "")),
+    "approve_image": Op("pipeline.approve_image", Arg("approver"), Arg("image")),
+    "deploy_image": Op("pipeline.deploy_image", Arg("operator"), Arg("image"), Arg("project"),
+                       Arg("digest"), Arg("vm", str, None)),
+    "update_deployment": Op("pipeline.update_deployment", Arg("operator"), Arg("instance"),
+                            Arg("image")),
+    "revoke_image": Op("pipeline.revoke_image", Arg("actor"), Arg("image")),
+    # ledger
+    "resolve_identity": Op("_resolve_identity", Arg("arbitrary_user"), Arg("at", int, None)),
+    "reconstruct_session": Op("_reconstruct_session", Arg("session")),
+    "verify_chain": Op("ledger.verify_chain",
+                       out=lambda checked: {"ok": checked[0], "first_bad_seq": checked[1]}),
+    "compliance_report": Op("ledger.compliance_report", Arg("project"),
+                            Arg("start", int, 0), Arg("end", int, None)),
+    "export_ledger": Op("ledger.export_lines",
+                        out=lambda lines: {"events": len(lines), "lines": lines}),
+}
 
 
 class Broker:
@@ -63,7 +272,6 @@ class Broker:
 
         self._lock = threading.RLock()
         self._authenticated: dict[str, AuthenticatedPrincipal] = {}
-        self._ops: dict[str, Callable[[dict], Any]] = self._build_ops()
 
     def _mode_group_change(self, actor: str, project_id: str, netid: str,
                            mode: str, action: str):
@@ -103,316 +311,81 @@ class Broker:
     # -- dispatch ----------------------------------------------------------------
 
     def op(self, name: str, args: dict | None = None) -> Any:
-        handler = self._ops.get(name)
-        if handler is None:
+        spec = OPS.get(name)
+        if spec is None:
             raise UnknownOp(name)
+        if args is None:
+            args = {}
+        elif not isinstance(args, dict):
+            raise BadRequest(f"{name}: args must be an object, not {type(args).__name__}")
+        positional, keywords = spec.parse(name, args)
         with self._lock:
-            return handler(dict(args or {}))
+            for i in spec.principals:
+                positional[i] = self.principal(positional[i])
+            owner = getattr(self, spec.owner) if spec.owner else self
+            result = getattr(owner, spec.method)(*positional, **keywords)
+            out = spec.out
+            if out is None:
+                return result if type(result) is dict else result.to_wire()
+            if isinstance(out, str):
+                return {out: result}
+            return out(result)
 
     @property
     def op_names(self) -> list[str]:
-        return sorted(self._ops)
+        return sorted(OPS)
 
-    def _build_ops(self) -> dict[str, Callable[[dict], Any]]:
-        return {
-            # clock
-            "advance": self._op_advance,
-            # identity
-            "register_user": self._op_register_user,
-            "deactivate_user": self._op_deactivate_user,
-            "assert_federated": self._op_assert_federated,
-            "verify_mfa": self._op_verify_mfa,
-            "create_group": self._op_create_group,
-            "set_membership": self._op_set_membership,
-            # policy
-            "register_project": self._op_register_project,
-            "grant_access": self._op_grant_access,
-            "revoke_access": self._op_revoke_access,
-            "check_access": self._op_check_access,
-            "authorize_mode": self._op_authorize_mode,
-            "set_proxy_whitelist": self._op_set_proxy_whitelist,
-            "set_brokers": self._op_set_brokers,
-            # enclave
-            "provision_vm": self._op_provision_vm,
-            "resize_vm": self._op_resize_vm,
-            "destroy_vm": self._op_destroy_vm,
-            "read_disk": self._op_read_disk,
-            "write_disk": self._op_write_disk,
-            "create_share": self._op_create_share,
-            "set_share_acl": self._op_set_share_acl,
-            "is_reachable": self._op_is_reachable,
-            "register_exception": self._op_register_exception,
-            "proxy_fetch": self._op_proxy_fetch,
-            # sessions
-            "open_session": self._op_open_session,
-            "resume_session": self._op_resume_session,
-            "close_session": self._op_close_session,
-            "mint_credential": self._op_mint_credential,
-            "align_groups": self._op_align_groups,
-            "authenticate_to_vm": self._op_authenticate_to_vm,
-            "expire_retained": self._op_expire_retained,
-            # egress
-            "attempt_clipboard": self._op_attempt_clipboard,
-            "attempt_file_egress": self._op_attempt_file_egress,
-            "submit_export": self._op_submit_export,
-            "adjudicate_export": self._op_adjudicate_export,
-            # pipeline
-            "submit_image": self._op_submit_image,
-            "vet_image": self._op_vet_image,
-            "approve_image": self._op_approve_image,
-            "deploy_image": self._op_deploy_image,
-            "update_deployment": self._op_update_deployment,
-            "revoke_image": self._op_revoke_image,
-            # ledger
-            "resolve_identity": self._op_resolve_identity,
-            "reconstruct_session": self._op_reconstruct_session,
-            "verify_chain": self._op_verify_chain,
-            "compliance_report": self._op_compliance_report,
-            "export_ledger": self._op_export_ledger,
-        }
+    # -- op targets that shape their result or hold broker state -------------------
 
-    # -- handlers ------------------------------------------------------------------
-
-    def _op_advance(self, args: dict) -> dict:
-        now = self.clock.advance(int(args["seconds"]))
-        return {"now": now}
-
-    def _op_register_user(self, args: dict) -> dict:
-        user = self.directory.register_user(
-            args["netid"], Affiliation(args.get("affiliation", "member")),
-            args.get("sponsor"), mfa_secret=args.get("mfa_secret"),
-            actor=args.get("actor", "broker"),
-        )
-        return {"netid": user.netid, "affiliation": user.affiliation.value,
-                "sponsor": user.sponsor, "active": user.active}
-
-    def _op_deactivate_user(self, args: dict) -> dict:
-        deactivated = self.directory.deactivate_user(args["actor"], args["netid"])
-        return {"deactivated": deactivated}
-
-    def _op_assert_federated(self, args: dict) -> dict:
-        assertion = FederatedAssertion(
-            issuer=args["issuer"], subject=args["subject"],
-            issued_at=int(args["issued_at"]), expires_at=int(args["expires_at"]),
-            mfa_satisfied=bool(args.get("mfa_satisfied", False)),
-            attributes=dict(args.get("attributes", {})),
-        )
-        principal = self.directory.assert_federated(
-            assertion, int(args.get("now", self.clock.now)))
+    def _assert_federated(self, issuer: str, subject: str, issued_at: int,
+                          expires_at: int, mfa_satisfied: bool,
+                          attributes: dict | None) -> AuthenticatedPrincipal:
+        assertion = FederatedAssertion(issuer, subject, issued_at, expires_at,
+                                       mfa_satisfied, dict(attributes or {}))
+        principal = self.directory.assert_federated(assertion, self.clock.now)
         if principal.mfa_passed:
             self._authenticated[principal.netid] = principal
-        return {"netid": principal.netid, "method": principal.method.value,
-                "mfa_passed": principal.mfa_passed}
+        return principal
 
-    def _op_verify_mfa(self, args: dict) -> dict:
-        principal = self.directory.verify_mfa(args["netid"], args.get("proof"))
+    def _verify_mfa(self, netid: str, proof: str | None) -> AuthenticatedPrincipal:
+        principal = self.directory.verify_mfa(netid, proof)
         self._authenticated[principal.netid] = principal
-        return {"netid": principal.netid, "method": principal.method.value,
-                "mfa_passed": principal.mfa_passed}
+        return principal
 
-    def _op_create_group(self, args: dict) -> dict:
-        actor = args.get("actor", "broker")
+    def _create_group(self, name: str, kind: str, owning_project: str | None,
+                      actor: str) -> dict:
         if not self.directory.is_admin(actor):
             raise Unauthorized(f"{actor} is not a platform administrator")
-        group = self.directory.create_group(
-            args["name"], GroupKind(args.get("kind", "role")),
-            args.get("owning_project"), actor=actor)
+        group = self.directory.create_group(name, kind, owning_project, actor=actor)
         return {"group": group.name, "kind": group.kind.value}
 
-    def _op_set_membership(self, args: dict) -> dict:
-        group = self.directory.set_membership(
-            args["actor"], args["group"], args["netid"], args["action"])
-        return {"group": group.name, "members": sorted(group.members)}
+    def _read_disk(self, vm: str) -> dict:
+        return {"vm": vm, "disk": self.enclave.read_disk(vm)}
 
-    def _op_register_project(self, args: dict) -> dict:
-        project = self.policy.register_project(
-            args["actor"], args["id"], args["classification"],
-            args.get("stewards", []), args.get("role_rules"),
-            zone=args.get("zone", "protected-vrf"),
-            brokers=args.get("brokers"),
-            proxy_whitelist=args.get("proxy_whitelist"),
-            retention_days=args.get("retention_days"),
-        )
-        return {"project": project.id, "tier": project.classification.value,
-                "vpn_group": project.vpn_group, "rdp_group": project.rdp_group,
-                "zone": project.zone}
+    def _write_disk(self, vm: str, token: str) -> dict:
+        return {"vm": vm, "disk": self.enclave.write_disk(vm, token)}
 
-    def _op_grant_access(self, args: dict) -> dict:
-        record = self.policy.grant_access(args["actor"], args["project"],
-                                          args["netid"], args["mode"])
-        return record.to_wire()
-
-    def _op_revoke_access(self, args: dict) -> dict:
-        record = self.policy.revoke_access(args["actor"], args["project"],
-                                           args["netid"], args["mode"])
-        return record.to_wire()
-
-    def _op_check_access(self, args: dict) -> dict:
-        principal = self.principal(args["netid"])
-        return self.policy.check_access(principal, args["project"], args["mode"]).to_wire()
-
-    def _op_authorize_mode(self, args: dict) -> dict:
-        principal = self.principal(args["netid"])
-        modes = self.policy.authorize_mode(principal, args["project"])
-        return {"modes": sorted(m.value for m in modes)}
-
-    def _op_set_proxy_whitelist(self, args: dict) -> dict:
-        project = self.policy.set_proxy_whitelist(args["actor"], args["project"],
-                                                  args["origins"])
-        return {"project": project.id, "origins": sorted(project.proxy_whitelist)}
-
-    def _op_set_brokers(self, args: dict) -> dict:
-        project = self.policy.set_brokers(args["actor"], args["project"], args["netids"])
-        return {"project": project.id, "brokers": sorted(project.brokers)}
-
-    def _op_provision_vm(self, args: dict) -> dict:
-        vm = self.enclave.provision_vm(args["project"], args["zone"],
-                                       int(args["cpu"]), int(args["ram"]),
-                                       bool(args.get("dedicated", False)))
-        return vm.to_wire()
-
-    def _op_resize_vm(self, args: dict) -> dict:
-        return self.enclave.resize_vm(args["vm"], int(args["cpu"]), int(args["ram"])).to_wire()
-
-    def _op_destroy_vm(self, args: dict) -> dict:
-        return self.enclave.destroy_vm(args["vm"])
-
-    def _op_read_disk(self, args: dict) -> dict:
-        return {"vm": args["vm"], "disk": self.enclave.read_disk(args["vm"])}
-
-    def _op_write_disk(self, args: dict) -> dict:
-        return {"vm": args["vm"], "disk": self.enclave.write_disk(args["vm"], args["token"])}
-
-    def _op_create_share(self, args: dict) -> dict:
-        share = self.enclave.create_share(
-            args["project"], args["protocol"], float(args["capacity_tb"]),
-            bool(args.get("dedicated_device", False)),
-            bool(args.get("encrypted_at_rest", False)))
-        return share.to_wire()
-
-    def _op_set_share_acl(self, args: dict) -> dict:
-        return self.enclave.set_share_acl(args["actor"], args["share"],
-                                          args.get("groups", [])).to_wire()
-
-    def _op_is_reachable(self, args: dict) -> dict:
-        src = args["src"]
-        if args.get("session"):
-            session = self.sessions.session(args["session"])
+    def _is_reachable(self, src: str, dst: str, service: str,
+                      session: str | None) -> Decision:
+        if session:
+            opened = self.sessions.session(session)
             src = AccessContext(
-                src_zone=args.get("src", INTERNET),
-                mode=session.mode,
-                project_id=session.project_id,
-                authorized_modes=frozenset({session.mode}),
-                session_id=session.id,
+                src_zone=src,
+                mode=opened.mode,
+                project_id=opened.project_id,
+                authorized_modes=frozenset({opened.mode}),
+                session_id=opened.id,
             )
-        return self.check_reachable(src, args["dst"], args["service"]).to_wire()
+        return self.check_reachable(src, dst, service)
 
-    def _op_register_exception(self, args: dict) -> dict:
-        rule_id = self.enclave.register_exception(
-            args["actor"], service=args["service"], src=args["src"], dst=args["dst"],
-            direction=args.get("direction", "inbound"),
-            documented_by=args.get("documented_by", ""),
-            rule_id=args.get("id"))
-        return {"rule": rule_id}
+    def _resolve_identity(self, arbitrary_user: str, at: int | None) -> dict:
+        netid = self.ledger.resolve_identity(
+            arbitrary_user, self.clock.now if at is None else at)
+        return {"arbitrary_user": arbitrary_user, "netid": netid}
 
-    def _op_proxy_fetch(self, args: dict) -> dict:
-        return self.enclave.proxy_fetch(args["project"], args["url"]).to_wire()
-
-    def _op_open_session(self, args: dict) -> dict:
-        principal = self.principal(args["netid"])
-        session, view = self.sessions.open_session(
-            principal, args["project"], args["mode"],
-            bool(args.get("endpoint_managed", False)),
-            src_zone=args.get("src_zone", INTERNET))
-        return view.to_wire()
-
-    def _op_resume_session(self, args: dict) -> dict:
-        principal = self.principal(args["netid"])
-        session, view = self.sessions.resume_session(
-            principal, args["project"], args["mode"],
-            bool(args.get("endpoint_managed", False)),
-            src_zone=args.get("src_zone", INTERNET))
-        return view.to_wire()
-
-    def _op_close_session(self, args: dict) -> dict:
-        session = self.sessions.close_session(args["session"])
-        return {"session_id": session.id, "state": session.state.value,
-                "closed_at": session.closed_at}
-
-    def _op_mint_credential(self, args: dict) -> dict:
-        credential = self.sessions.mint_credential(args["arbitrary_user"], args["session"])
-        return {"credential": credential.id, "state": credential.state.value}
-
-    def _op_align_groups(self, args: dict) -> dict:
-        return {"aligned": self.sessions.align_groups(args["session"])}
-
-    def _op_authenticate_to_vm(self, args: dict) -> dict:
-        outcome = self.sessions.authenticate_to_vm(args["secret"], args["vm"])
-        return {"outcome": outcome.value}
-
-    def _op_expire_retained(self, args: dict) -> dict:
-        return {"reclaimed": self.sessions.expire_retained()}
-
-    def _op_attempt_clipboard(self, args: dict) -> dict:
-        return self.egress.attempt_clipboard(args["session"],
-                                             args.get("direction", "out")).to_wire()
-
-    def _op_attempt_file_egress(self, args: dict) -> dict:
-        return self.egress.attempt_file_egress(args["session"],
-                                               args.get("object", "file")).to_wire()
-
-    def _op_submit_export(self, args: dict) -> dict:
-        return self.egress.submit_export(args["session"], args["payload"]).to_wire()
-
-    def _op_adjudicate_export(self, args: dict) -> dict:
-        return self.egress.adjudicate_export(args["broker"], args["request"],
-                                             args["verdict"], args["rationale"]).to_wire()
-
-    def _op_submit_image(self, args: dict) -> dict:
-        return self.pipeline.submit_image(args["builder"], args["project"],
-                                          args["payload"],
-                                          args.get("source", "campus")).to_wire()
-
-    def _op_vet_image(self, args: dict) -> dict:
-        return self.pipeline.vet_image(args["vetter"], args["image"],
-                                       args.get("report", "")).to_wire()
-
-    def _op_approve_image(self, args: dict) -> dict:
-        return self.pipeline.approve_image(args["approver"], args["image"]).to_wire()
-
-    def _op_deploy_image(self, args: dict) -> dict:
-        return self.pipeline.deploy_image(args["operator"], args["image"],
-                                          args["project"], args["digest"],
-                                          args.get("vm")).to_wire()
-
-    def _op_update_deployment(self, args: dict) -> dict:
-        return self.pipeline.update_deployment(args["operator"], args["instance"],
-                                               args["image"]).to_wire()
-
-    def _op_revoke_image(self, args: dict) -> dict:
-        return self.pipeline.revoke_image(args["actor"], args["image"]).to_wire()
-
-    def _op_resolve_identity(self, args: dict) -> dict:
-        netid = self.ledger.resolve_identity(args["arbitrary_user"],
-                                             int(args.get("at", self.clock.now)))
-        return {"arbitrary_user": args["arbitrary_user"], "netid": netid}
-
-    def _op_reconstruct_session(self, args: dict) -> dict:
-        events = self.ledger.reconstruct_session(args["session"])
-        return {"session": args["session"],
+    def _reconstruct_session(self, session: str) -> dict:
+        events = self.ledger.reconstruct_session(session)
+        return {"session": session,
                 "events": [{"seq": e.seq, "at": e.at, "actor": e.actor,
                             "action": e.action, "object": e.object,
                             "detail": dict(e.detail)} for e in events]}
-
-    def _op_verify_chain(self, args: dict) -> dict:
-        ok, bad = self.ledger.verify_chain()
-        return {"ok": ok, "first_bad_seq": bad}
-
-    def _op_compliance_report(self, args: dict) -> dict:
-        report = self.ledger.compliance_report(
-            args["project"], int(args.get("start", 0)),
-            int(args.get("end", self.clock.now)))
-        return report.to_wire()
-
-    def _op_export_ledger(self, args: dict) -> dict:
-        return {"events": len(self.ledger), "lines": self.ledger.export_lines()}

@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from .broker import OPS, REQUIRED
 from .configio import build_broker, load_scenario, run_scenario
 from .errors import BrokerError, ParseError, SchemaError
 from .service import BrokerServer, parse_address, request
@@ -156,110 +157,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) in (None, "")]
+# Client verbs: (verb, action) -> op; verbs without an action use None.
+CLIENT_OPS = {
+    ("user", "add"): "register_user",
+    ("user", "deactivate"): "deactivate_user",
+    ("user", "mfa"): "verify_mfa",
+    ("group", "create"): "create_group",
+    ("group", "add"): "set_membership",
+    ("group", "remove"): "set_membership",
+    ("project", None): "register_project",
+    ("grant", None): "grant_access",
+    ("revoke", None): "revoke_access",
+    ("vm", "provision"): "provision_vm",
+    ("vm", "resize"): "resize_vm",
+    ("vm", "destroy"): "destroy_vm",
+    ("vm", "read-disk"): "read_disk",
+    ("share", "create"): "create_share",
+    ("share", "acl"): "set_share_acl",
+    ("session", "open"): "open_session",
+    ("session", "resume"): "resume_session",
+    ("session", "close"): "close_session",
+    ("egress", "clipboard"): "attempt_clipboard",
+    ("egress", "file"): "attempt_file_egress",
+    ("export", "submit"): "submit_export",
+    ("export", "adjudicate"): "adjudicate_export",
+    ("image", "submit"): "submit_image",
+    ("image", "vet"): "vet_image",
+    ("image", "approve"): "approve_image",
+    ("image", "deploy"): "deploy_image",
+    ("audit", "trace"): "reconstruct_session",
+    ("audit", "resolve"): "resolve_identity",
+    ("audit", "verify"): "verify_chain",
+    ("audit", "report"): "compliance_report",
+}
+# Op argument -> the parsed option that carries it, where the names differ.
+OPTION_OF = {"group": "name", "endpoint_managed": "managed", "broker": "broker_netid"}
+
+
+def _require(args, names) -> None:
+    missing = [n for n in names
+               if getattr(args, OPTION_OF.get(n, n), None) in (None, "")]
     if missing:
-        raise SchemaError(f"missing required option(s): {', '.join('--' + n for n in missing)}")
+        raise SchemaError("missing required option(s): "
+                          + ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
 def _client_payload(args) -> tuple[str, dict]:
-    """Map a parsed client verb onto (op, args)."""
-    verb = args.verb
-    if verb == "user":
-        if args.action == "add":
-            return "register_user", {"netid": args.netid, "affiliation": args.affiliation,
-                                     "sponsor": args.sponsor, "mfa_secret": args.mfa_secret,
-                                     "actor": args.actor}
-        if args.action == "deactivate":
-            return "deactivate_user", {"actor": args.actor, "netid": args.netid}
-        return "verify_mfa", {"netid": args.netid, "proof": args.proof}
-    if verb == "group":
-        if args.action == "create":
-            return "create_group", {"name": args.name, "kind": args.kind,
-                                    "actor": args.actor}
-        _require(args, ["netid"])
-        return "set_membership", {"actor": args.actor, "group": args.name,
-                                  "netid": args.netid, "action": args.action}
-    if verb == "project":
-        return "register_project", {
-            "actor": args.actor, "id": args.id,
-            "classification": args.classification,
-            "stewards": [s for s in args.stewards.split(",") if s],
-            "zone": args.zone,
-        }
-    if verb in ("grant", "revoke"):
-        return f"{verb}_access", {"actor": args.actor, "project": args.project,
-                                  "netid": args.netid, "mode": args.mode}
-    if verb == "vm":
-        if args.action == "provision":
-            _require(args, ["project"])
-            return "provision_vm", {"project": args.project, "zone": args.zone,
-                                    "cpu": args.cpu, "ram": args.ram,
-                                    "dedicated": args.dedicated}
-        _require(args, ["vm"])
-        if args.action == "resize":
-            return "resize_vm", {"vm": args.vm, "cpu": args.cpu, "ram": args.ram}
-        if args.action == "destroy":
-            return "destroy_vm", {"vm": args.vm}
-        return "read_disk", {"vm": args.vm}
-    if verb == "share":
-        if args.action == "create":
-            _require(args, ["project"])
-            return "create_share", {"project": args.project, "protocol": args.protocol,
-                                    "capacity_tb": args.capacity_tb,
-                                    "dedicated_device": args.dedicated_device}
-        _require(args, ["share"])
-        return "set_share_acl", {"actor": args.actor, "share": args.share,
-                                 "groups": [g for g in args.groups.split(",") if g]}
-    if verb == "session":
-        if args.action in ("open", "resume"):
-            _require(args, ["netid", "project"])
-            op = "open_session" if args.action == "open" else "resume_session"
-            return op, {"netid": args.netid, "project": args.project,
-                        "mode": args.mode, "endpoint_managed": args.managed}
-        _require(args, ["session"])
-        return "close_session", {"session": args.session}
-    if verb == "egress":
-        if args.action == "clipboard":
-            return "attempt_clipboard", {"session": args.session,
-                                         "direction": args.direction}
-        return "attempt_file_egress", {"session": args.session, "object": args.object}
-    if verb == "export":
-        if args.action == "submit":
-            _require(args, ["session", "payload"])
-            return "submit_export", {"session": args.session, "payload": args.payload}
-        _require(args, ["request", "verdict", "rationale"])
-        return "adjudicate_export", {"broker": args.broker_netid, "request": args.request,
-                                     "verdict": args.verdict, "rationale": args.rationale}
-    if verb == "image":
-        if args.action == "submit":
-            _require(args, ["project", "payload", "builder"])
-            return "submit_image", {"builder": args.builder, "project": args.project,
-                                    "payload": args.payload, "source": args.source}
-        _require(args, ["image"])
-        if args.action == "vet":
-            return "vet_image", {"vetter": args.vetter, "image": args.image,
-                                 "report": args.report}
-        if args.action == "approve":
-            return "approve_image", {"approver": args.approver, "image": args.image}
-        return "deploy_image", {"operator": args.operator, "image": args.image,
-                                "project": args.project, "digest": args.digest}
-    if verb == "audit":
-        if args.action == "trace":
-            _require(args, ["session"])
-            return "reconstruct_session", {"session": args.session}
-        if args.action == "resolve":
-            _require(args, ["arbitrary-user"])
-            return "resolve_identity", {"arbitrary_user": args.arbitrary_user,
-                                        "at": args.at}
-        if args.action == "verify":
-            return "verify_chain", {}
-        _require(args, ["project"])
-        payload = {"project": args.project, "start": args.start}
-        if args.end is not None:
-            payload["end"] = args.end
-        return "compliance_report", payload
-    raise SchemaError(f"unknown verb {args.verb!r}")
+    """Map a parsed client verb onto (op, args): each argument the op
+    declares is taken from the option of that name. A list argument is
+    given as comma-separated values; an option left unset is not sent."""
+    op = CLIENT_OPS[(args.verb, getattr(args, "action", None))]
+    declared = OPS[op].args
+    _require(args, [a.name for a in declared if a.default is REQUIRED])
+    payload = {}
+    for arg in declared:
+        value = getattr(args, OPTION_OF.get(arg.name, arg.name), None)
+        if value is None:
+            continue
+        if arg.kind is list:
+            value = [item for item in value.split(",") if item]
+        payload[arg.name] = value
+    return op, payload
 
 
 def main(argv: list[str] | None = None) -> int:

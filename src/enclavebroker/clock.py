@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .errors import BadRequest
+
 
 class SimClock:
     """Monotonic simulated time in integer seconds."""
@@ -15,6 +17,6 @@ class SimClock:
 
     def advance(self, seconds: int) -> int:
         if seconds < 0:
-            raise ValueError("clock only moves forward")
+            raise BadRequest(f"clock only moves forward, not by {seconds} seconds")
         self._now += int(seconds)
         return self._now

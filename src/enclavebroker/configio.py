@@ -12,8 +12,9 @@ from pathlib import Path
 
 from .broker import Broker
 from .enclave import RESEARCH_SUBNET, ZONE_IDS
-from .errors import BrokerError, DanglingReference, ParseError, SchemaError
+from .errors import BadRequest, BrokerError, DanglingReference, ParseError, SchemaError
 from .identity import Affiliation, GroupKind
+from .ledger import AuditLedger
 
 
 def _read_json(path: str | Path) -> tuple[dict, str]:
@@ -237,16 +238,22 @@ class StepResult:
 class RunOutcome:
     exit_code: int
     results: list[StepResult]
-    ledger_text: str
+    ledger: AuditLedger
 
     @property
     def mismatches(self) -> list[StepResult]:
         return [r for r in self.results if not r.ok]
 
+    @property
+    def ledger_text(self) -> str:
+        """The ledger export, rendered when read: most runs never ask for it."""
+        return self.ledger.export_text()
+
 
 def run_scenario(broker: Broker, scenario: Scenario) -> RunOutcome:
     """Execute steps in order. Exit code 0 on full match, 1 on the first
-    verdict mismatch, 2 on invalid input, 3 on internal error."""
+    verdict mismatch, 2 on invalid input (an unknown op, or arguments that
+    are missing or ill-typed), 3 on internal error."""
     results: list[StepResult] = []
     exit_code = 0
     for i, step in enumerate(scenario.steps):
@@ -255,7 +262,7 @@ def run_scenario(broker: Broker, scenario: Scenario) -> RunOutcome:
         expect = step.get("expect")
         if op not in broker.op_names:
             results.append(StepResult(i, op, False, f"unknown op {op!r}"))
-            return RunOutcome(2, results, broker.ledger.export_text())
+            return RunOutcome(2, results, broker.ledger)
         try:
             result = broker.op(op, args)
         except BrokerError as exc:
@@ -264,22 +271,23 @@ def run_scenario(broker: Broker, scenario: Scenario) -> RunOutcome:
                 continue
             results.append(StepResult(
                 i, op, False, f"unexpected {exc.code}: {exc}"))
-            return RunOutcome(1, results, broker.ledger.export_text())
+            return RunOutcome(2 if isinstance(exc, BadRequest) else 1, results,
+                              broker.ledger)
         except Exception as exc:  # noqa: BLE001 - fault barrier
             results.append(StepResult(i, op, False, f"internal error: {exc!r}"))
-            return RunOutcome(3, results, broker.ledger.export_text())
+            return RunOutcome(3, results, broker.ledger)
         if expect:
             if "error" in expect:
                 results.append(StepResult(
                     i, op, False,
                     f"expected error {expect['error']!r}, got success {result!r}"))
-                return RunOutcome(1, results, broker.ledger.export_text())
+                return RunOutcome(1, results, broker.ledger)
             mismatch = _match_expect(expect, result)
             if mismatch:
                 results.append(StepResult(i, op, False, mismatch))
-                return RunOutcome(1, results, broker.ledger.export_text())
+                return RunOutcome(1, results, broker.ledger)
         results.append(StepResult(i, op, True))
-    return RunOutcome(exit_code, results, broker.ledger.export_text())
+    return RunOutcome(exit_code, results, broker.ledger)
 
 
 def _match_expect(expect: dict, result) -> str:

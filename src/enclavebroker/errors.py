@@ -266,3 +266,9 @@ class BindFailure(BrokerError):
 
 class UnknownOp(BrokerError):
     code = "unknown-op"
+
+
+class BadRequest(BrokerError):
+    """A request whose arguments are missing, ill-typed or out of range."""
+
+    code = "bad-request"

@@ -14,6 +14,7 @@ from typing import Callable
 from .clock import SimClock
 from .errors import (
     AssertionExpired,
+    BadRequest,
     DuplicateNetid,
     InvalidSponsor,
     MfaFailed,
@@ -76,7 +77,7 @@ class FederatedAssertion:
 
     def __post_init__(self) -> None:
         if self.expires_at <= self.issued_at:
-            raise ValueError("assertion must expire after issuance")
+            raise BadRequest("assertion must expire after issuance")
 
 
 @dataclass
@@ -85,6 +86,10 @@ class AuthenticatedPrincipal:
     method: AuthMethod
     mfa_passed: bool
     authenticated_at: int
+
+    def to_wire(self) -> dict:
+        return {"netid": self.netid, "method": self.method.value,
+                "mfa_passed": self.mfa_passed}
 
 
 class Directory:

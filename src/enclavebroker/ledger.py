@@ -263,9 +263,12 @@ class AuditLedger:
     # -- reports -----------------------------------------------------------
 
     def compliance_report(self, project_id: str, period_start: int,
-                          period_end: int) -> ComplianceReport:
+                          period_end: int | None = None) -> ComplianceReport:
+        """Counts over [period_start, period_end]; the period ends now by default."""
         if not self.project_exists(project_id):
             raise UnknownProject(project_id)
+        if period_end is None:
+            period_end = self._clock.now
         project_events = self._by_project.get(project_id, [])
         # A linear filter: `at` is not guaranteed monotonic, so no bisect.
         of_project = [e for e in project_events if period_start <= e.at <= period_end]

@@ -261,7 +261,7 @@ def _normalize_origin(origin: str) -> str:
     """Origins match on scheme + host, exact compare, case-insensitive host."""
     origin = origin.strip()
     if "://" not in origin:
-        raise ValueError(f"origin needs a scheme: {origin!r}")
+        raise InvalidSpec(f"origin needs a scheme: {origin!r}")
     scheme, rest = origin.split("://", 1)
     host = rest.split("/", 1)[0]
     return f"{scheme.lower()}://{host.lower()}"

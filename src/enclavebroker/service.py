@@ -3,7 +3,9 @@
 One request, one response. Requests are ``{"id": ..., "op": ..., "args": {}}``
 and responses ``{"id": ..., "ok": true, "result": ...}`` or
 ``{"id": ..., "ok": false, "error": {"code": ..., "message": ...}}``.
-Malformed requests get an error response; nothing is silently dropped.
+Malformed requests get an error response; nothing is silently dropped. A
+request line longer than ``MAX_REQUEST_BYTES`` is answered once with
+``bad-request`` and its connection is closed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import threading
 
 from .broker import Broker
 from .errors import BindFailure, BrokerError
+
+# The longest request line a connection may send, newline included.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 def _error_response(request_id, code: str, message: str) -> dict:
@@ -43,15 +48,25 @@ def handle_request_line(broker: Broker, line: str) -> dict:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             if not line:
+                return
+            if len(line) > MAX_REQUEST_BYTES:
+                # Discard the rest of the line before answering: closing with
+                # input unread would reset the connection and lose the answer.
+                while line and not line.endswith(b"\n"):
+                    line = self.rfile.readline(MAX_REQUEST_BYTES)
+                self._reply(_error_response(
+                    None, "bad-request", f"request line over {MAX_REQUEST_BYTES} bytes"))
                 return
             line = line.decode("utf-8").strip()
             if not line:
                 continue
-            response = handle_request_line(self.server.broker, line)
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            self._reply(handle_request_line(self.server.broker, line))
+
+    def _reply(self, response: dict) -> None:
+        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+        self.wfile.flush()
 
 
 class BrokerServer(socketserver.ThreadingTCPServer):

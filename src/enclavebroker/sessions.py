@@ -145,9 +145,6 @@ class SessionBroker:
         self._bindings: dict[tuple[str, str], RetentionBinding] = {}
         self._session_seq = 0
         self._credential_seq = 0
-        # Recorded message traces, scanned by the non-disclosure checks.
-        self.client_messages: list[dict] = []
-        self.vm_messages: list[dict] = []
 
     # -- lookups ----------------------------------------------------------------
 
@@ -205,6 +202,8 @@ class SessionBroker:
         if credential.state is CredentialState.DESTROYED:
             return
         credential.state = CredentialState.DESTROYED
+        # Only live secrets stay findable; a destroyed one is rejected anyway.
+        del self._by_secret[credential.secret]
         self._active_by_user.pop(credential.arbitrary_user, None)
         self._ledger.append(session.principal, "credential-destroy", credential.id, {
             "session": session.id,
@@ -343,9 +342,6 @@ class SessionBroker:
 
         view = ClientView(session_id=session_id, vm_id=vm.id,
                           gateway_path=tuple(path.path), mode=mode.value)
-        self.client_messages.append(view.to_wire())
-        # The VM learns only the arbitrary identity, never the principal's.
-        self.vm_messages.append({"to": vm.id, "account": arbitrary.name})
         return session, view
 
     def _attached_shares(self, project: Project, netid: str) -> list[str]:

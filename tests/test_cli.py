@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from enclavebroker.cli import main
+from enclavebroker.cli import _client_payload, build_parser, main
 from enclavebroker.configio import (
     Scenario,
     build_broker,
@@ -14,7 +14,13 @@ from enclavebroker.configio import (
     run_scenario,
 )
 from enclavebroker.errors import DanglingReference, ParseError, SchemaError
-from enclavebroker.service import BrokerServer, handle_request_line, request
+from enclavebroker.ledger import AuditLedger
+from enclavebroker.service import (
+    MAX_REQUEST_BYTES,
+    BrokerServer,
+    handle_request_line,
+    request,
+)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 TOPOLOGY = CONFIGS / "topology-basic.json"
@@ -111,6 +117,24 @@ class TestRunScenario:
         ])
         assert run_scenario(broker, scenario).exit_code == 1
 
+    @pytest.mark.parametrize("args", [
+        {"actor": "stw1", "project": "opm-study", "netid": "res1"},
+        {"actor": "stw1", "project": "opm-study", "netid": "res1", "mode": "ssh"},
+        ["stw1", "opm-study", "res1", "rdp"],
+    ])
+    def test_step_with_bad_arguments_exits_two(self, args):
+        broker = build_broker(TOPOLOGY, DIRECTORY)
+        outcome = run_scenario(broker, Scenario(0, 0, [{"op": "grant_access",
+                                                        "args": args}]))
+        assert outcome.exit_code == 2
+        assert "bad-request" in outcome.mismatches[0].detail
+
+    def test_expected_bad_request_passes(self):
+        broker = build_broker(TOPOLOGY, DIRECTORY)
+        scenario = Scenario(0, 0, [{"op": "advance", "args": {"seconds": -5},
+                                    "expect": {"error": "bad-request"}}])
+        assert run_scenario(broker, scenario).exit_code == 0
+
     def test_determinism_byte_identical_ledgers(self):
         scenario = load_scenario(SCENARIO)
         runs = []
@@ -146,6 +170,32 @@ class TestCliEntry:
         lines = out.read_text().splitlines()
         assert lines
         assert json.loads(lines[0])["seq"] == 1
+
+    def test_run_renders_the_export_only_for_ledger_out(self, tmp_path, capsys,
+                                                        monkeypatch):
+        rendered = []
+        export_text = AuditLedger.export_text
+
+        def counted(ledger):
+            rendered.append(1)
+            return export_text(ledger)
+
+        monkeypatch.setattr(AuditLedger, "export_text", counted)
+        argv = ["run", "--topology", str(TOPOLOGY), "--directory", str(DIRECTORY),
+                "--scenario", str(SCENARIO)]
+        assert main(argv) == 0
+        assert rendered == []
+        assert main(argv + ["--ledger-out", str(tmp_path / "ledger.jsonl")]) == 0
+        assert rendered == [1]
+
+    def test_run_step_missing_an_argument_exits_two(self, tmp_path, capsys):
+        scenario = json.loads(SCENARIO.read_text())
+        del scenario["steps"][1]["args"]["netid"]
+        path = write_json(tmp_path, "missing.json", scenario)
+        code = main(["run", "--topology", str(TOPOLOGY),
+                     "--directory", str(DIRECTORY), "--scenario", str(path)])
+        assert code == 2
+        assert "grant_access: missing argument 'netid'" in capsys.readouterr().err
 
     def test_env_vars_mirror_flags(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BROKER_TOPOLOGY", str(TOPOLOGY))
@@ -246,6 +296,44 @@ class TestWireService:
         assert response["ok"] is False
         assert response["error"]["code"] == "mfa-failed"
 
+    @pytest.mark.parametrize("op,args", [
+        ("grant_access", {}),
+        ("advance", {"seconds": -5}),
+        ("advance", {"seconds": "x"}),
+        ("register_user", {"netid": "m1", "affiliation": "martian"}),
+        ("verify_mfa", ["res1"]),
+    ])
+    def test_bad_arguments_get_bad_request(self, server, op, args):
+        line = json.dumps({"id": 4, "op": op, "args": args})
+        response = handle_request_line(server.broker, line)
+        assert response["id"] == 4
+        assert response["error"]["code"] == "bad-request"
+
+    def test_over_long_request_line_is_answered_and_closed(self, server):
+        import socket
+        padding = "x" * MAX_REQUEST_BYTES
+        line = json.dumps({"id": 1, "op": "verify_chain", "args": {"pad": padding}})
+        with socket.create_connection(server.address, timeout=10) as conn:
+            conn.sendall(line.encode("utf-8") + b"\n")
+            reader = conn.makefile("rb")
+            response = json.loads(reader.readline())
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad-request"
+            assert reader.readline() == b""  # the server closed the connection
+            reader.close()
+        assert request(server.address, "verify_chain", {})["ok"]
+
+    def test_longest_request_line_is_served(self, server):
+        import socket
+        line = json.dumps({"id": 2, "op": "verify_chain", "args": {"pad": ""}})
+        line = line.replace('"pad": ""', '"pad": "' + "x" * (MAX_REQUEST_BYTES - len(line) - 1)
+                            + '"')
+        assert len(line) + 1 == MAX_REQUEST_BYTES
+        with socket.create_connection(server.address, timeout=10) as conn:
+            conn.sendall(line.encode("utf-8") + b"\n")
+            with conn.makefile("rb") as reader:
+                assert json.loads(reader.readline())["ok"] is True
+
     def test_unknown_op(self, server):
         response = request(server.address, "frobnicate", {})
         assert response["error"]["code"] == "unknown-op"
@@ -308,3 +396,121 @@ class TestWireService:
         seqs = [e.seq for e in broker.ledger.events]
         assert seqs == list(range(1, len(seqs) + 1))
         assert sum(1 for e in broker.ledger.events if e.action == "register") >= 75
+
+
+# Each client command line and the (op, args) it sends. The first eleven are
+# the README's examples.
+CLIENT_COMMANDS = [
+    ("project opm-study --classification sensitive --stewards stw1 --zone research-subnet"
+     " --actor admin1",
+     "register_project", {"actor": "admin1", "id": "opm-study", "classification": "sensitive",
+                          "stewards": ["stw1"], "zone": "research-subnet"}),
+    ("grant opm-study res1 rdp --actor stw1",
+     "grant_access", {"actor": "stw1", "project": "opm-study", "netid": "res1",
+                      "mode": "rdp"}),
+    ("user mfa res1 --proof mfa-res1", "verify_mfa", {"netid": "res1", "proof": "mfa-res1"}),
+    ("session open --netid res1 --project opm-study --mode rdp",
+     "open_session", {"netid": "res1", "project": "opm-study", "mode": "rdp",
+                      "endpoint_managed": False}),
+    ("egress clipboard s-000001 --direction out",
+     "attempt_clipboard", {"session": "s-000001", "direction": "out"}),
+    ("export submit --session s-000001 --payload results.tar",
+     "submit_export", {"session": "s-000001", "payload": "results.tar"}),
+    ("export adjudicate --request req-0001 --broker broker1 --verdict approved"
+     " --rationale ok",
+     "adjudicate_export", {"broker": "broker1", "request": "req-0001",
+                           "verdict": "approved", "rationale": "ok"}),
+    ("image submit --project opm-study --payload layers:v1 --builder res1",
+     "submit_image", {"builder": "res1", "project": "opm-study", "payload": "layers:v1",
+                      "source": "campus"}),
+    ("audit trace --session s-000001", "reconstruct_session", {"session": "s-000001"}),
+    ("audit verify", "verify_chain", {}),
+    ("audit report --project opm-study --start 0 --end 86400",
+     "compliance_report", {"project": "opm-study", "start": 0, "end": 86400}),
+    ("user add aff9 --affiliation affiliate --sponsor stw1",
+     "register_user", {"netid": "aff9", "affiliation": "affiliate", "sponsor": "stw1",
+                       "actor": "broker"}),
+    ("user deactivate res3 --actor admin1", "deactivate_user",
+     {"actor": "admin1", "netid": "res3"}),
+    ("group create reviewers --actor admin1", "create_group",
+     {"name": "reviewers", "kind": "role", "actor": "admin1"}),
+    ("group add analysts --netid res1 --actor admin1", "set_membership",
+     {"actor": "admin1", "group": "analysts", "netid": "res1", "action": "add"}),
+    ("group remove analysts --netid res1 --actor admin1", "set_membership",
+     {"actor": "admin1", "group": "analysts", "netid": "res1", "action": "remove"}),
+    ("revoke opm-study res1 vpn --actor stw1", "revoke_access",
+     {"actor": "stw1", "project": "opm-study", "netid": "res1", "mode": "vpn"}),
+    ("vm provision --project opm-study --dedicated", "provision_vm",
+     {"project": "opm-study", "zone": "protected-vrf", "cpu": 4, "ram": 16,
+      "dedicated": True}),
+    ("vm resize --vm vm-0001 --cpu 8", "resize_vm", {"vm": "vm-0001", "cpu": 8, "ram": 16}),
+    ("vm destroy --vm vm-0001", "destroy_vm", {"vm": "vm-0001"}),
+    ("vm read-disk --vm vm-0001", "read_disk", {"vm": "vm-0001"}),
+    ("share create --project opm-study --capacity-tb 2", "create_share",
+     {"project": "opm-study", "protocol": "cifs", "capacity_tb": 2.0,
+      "dedicated_device": False}),
+    ("share acl --share share-0001 --groups a,b --actor stw1", "set_share_acl",
+     {"actor": "stw1", "share": "share-0001", "groups": ["a", "b"]}),
+    ("session resume --netid res1 --project opm-study --mode vpn --managed",
+     "resume_session", {"netid": "res1", "project": "opm-study", "mode": "vpn",
+                        "endpoint_managed": True}),
+    ("session close --session s-000001", "close_session", {"session": "s-000001"}),
+    ("egress file s-000001 --object extract.csv", "attempt_file_egress",
+     {"session": "s-000001", "object": "extract.csv"}),
+    ("image vet --image img-0001 --vetter vetter1 --report clean", "vet_image",
+     {"vetter": "vetter1", "image": "img-0001", "report": "clean"}),
+    ("image approve --image img-0001 --approver stw1", "approve_image",
+     {"approver": "stw1", "image": "img-0001"}),
+    ("image deploy --image img-0001 --operator admin1 --project opm-study --digest d1",
+     "deploy_image", {"operator": "admin1", "image": "img-0001", "project": "opm-study",
+                      "digest": "d1"}),
+    ("audit resolve --arbitrary-user u-1", "resolve_identity", {"arbitrary_user": "u-1"}),
+    ("audit resolve --arbitrary-user u-1 --at 5", "resolve_identity",
+     {"arbitrary_user": "u-1", "at": 5}),
+    ("audit report --project opm-study", "compliance_report",
+     {"project": "opm-study", "start": 0}),
+]
+
+
+class TestClientVerbs:
+    @pytest.mark.parametrize("command,op,payload", CLIENT_COMMANDS)
+    def test_command_line_maps_to_one_op(self, command, op, payload):
+        args = build_parser().parse_args(command.split())
+        assert _client_payload(args) == (op, payload)
+
+    @pytest.mark.parametrize("command,option", [
+        ("vm provision", "--project"),
+        ("vm resize", "--vm"),
+        ("session open --project p", "--netid"),
+        ("export adjudicate --request r --verdict approved --rationale ok", "--broker"),
+        ("image vet --image img-0001", "--vetter"),
+        ("audit resolve", "--arbitrary-user"),
+        ("group add analysts --actor admin1", "--netid"),
+    ])
+    def test_missing_option_exits_two_before_connecting(self, capsys, command, option):
+        assert main(command.split() + ["--connect", "127.0.0.1:1"]) == 2
+        assert option in capsys.readouterr().err
+
+    def test_audit_resolve_without_at_asks_about_now(self, capsys):
+        broker = build_broker(TOPOLOGY, DIRECTORY, seed=1)
+        broker.op("register_project", {"actor": "admin1", "id": "p1",
+                                       "classification": "sensitive",
+                                       "stewards": ["stw1"], "zone": "research-subnet"})
+        broker.op("grant_access", {"actor": "stw1", "project": "p1", "netid": "res1",
+                                   "mode": "rdp"})
+        broker.op("verify_mfa", {"netid": "res1", "proof": "mfa-res1"})
+        session = broker.op("open_session", {"netid": "res1", "project": "p1",
+                                             "mode": "rdp"})
+        user = broker.sessions.session(session["session_id"]).arbitrary_user
+        server = BrokerServer(broker, ("127.0.0.1", 0))
+        server.serve_in_thread()
+        try:
+            host, port = server.address
+            code = main(["audit", "resolve", "--arbitrary-user", user,
+                         "--connect", f"{host}:{port}"])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {
+            "arbitrary_user": user, "netid": "res1"}

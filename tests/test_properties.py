@@ -10,7 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from enclavebroker.errors import BrokerError, ContentDestroyed, UntrustedIssuer
 from enclavebroker.identity import FederatedAssertion
 from enclavebroker.model import AccessMode
-from enclavebroker.sessions import DAY, AuthOutcome, SessionState
+from enclavebroker.sessions import DAY, AuthOutcome, CredentialState, SessionState
 
 from conftest import authenticate, make_broker
 from oracles import bfs_reachable
@@ -214,6 +214,13 @@ class SessionLifecycle(RuleBasedStateMachine):
         expected = [sid for sid, s in sorted(sessions._sessions.items())
                     if s.state is SessionState.OPEN]
         assert [s.id for s in sessions.open_sessions()] == expected
+
+    @invariant()
+    def only_live_secrets_are_kept(self):
+        sessions = self.broker.sessions
+        active = [c for c in sessions._credentials.values()
+                  if c.state is CredentialState.ACTIVE]
+        assert len(sessions._by_secret) == len(active)
 
 
 TestSessionLifecycle = SessionLifecycle.TestCase

@@ -335,20 +335,26 @@ class TestExpireRetained:
 
 class TestNonDisclosure:
     def test_client_trace_never_contains_secrets(self, broker):
+        views = []
         for netid in ("res1", "res2"):
-            session, _ = open_rdp(broker, netid)
+            session, view = open_rdp(broker, netid)
+            views.append(view.to_wire())
             broker.sessions.close_session(session.id)
             principal = authenticate(broker, netid)
-            broker.sessions.resume_session(principal, "study", "rdp", False)
-        blob = json.dumps(broker.sessions.client_messages)
+            _, view = broker.sessions.resume_session(principal, "study", "rdp", False)
+            views.append(view.to_wire())
+        blob = json.dumps(views)
+        assert len(broker.sessions._credentials) == 4
         for credential in broker.sessions._credentials.values():
             assert credential.secret not in blob
 
     def test_vm_trace_never_contains_principal(self, broker):
         session, _ = open_rdp(broker, "res1")
-        blob = json.dumps(broker.sessions.vm_messages)
+        vm = broker.enclave.vm(session.vm_id)
+        # What reaches the VM: its own record and the account it hosts.
+        blob = json.dumps([vm.to_wire(), session.arbitrary_user])
         assert "res1" not in blob
-        assert session.arbitrary_user in blob
+        assert session.arbitrary_user.startswith("u-")
 
     def test_vm_record_fields_reference_only_arbitrary_identity(self, broker):
         session, _ = open_rdp(broker)
