@@ -203,8 +203,6 @@ OPS: dict[str, Op] = {
     "close_session": Op("sessions.close_session", Arg("session"),
                         out=lambda s: {"session_id": s.id, "state": s.state.value,
                                        "closed_at": s.closed_at}),
-    "mint_credential": Op("sessions.mint_credential", Arg("arbitrary_user"), Arg("session"),
-                          out=lambda c: {"credential": c.id, "state": c.state.value}),
     "align_groups": Op("sessions.align_groups", Arg("session"), out="aligned"),
     "authenticate_to_vm": Op("sessions.authenticate_to_vm", Arg("secret"), Arg("vm"),
                              out=lambda outcome: {"outcome": outcome.value}),
@@ -254,8 +252,7 @@ class Broker:
             self.rng, retention_days=retention_days,
             allow_concurrent=allow_concurrent_sessions,
         )
-        self.egress = EgressControl(self.sessions, self.policy, self.ledger,
-                                    self.clock, self.rng)
+        self.egress = EgressControl(self.sessions, self.policy, self.ledger, self.rng)
         self.pipeline = DeliveryPipeline(self.directory, self.policy, self.enclave,
                                          self.ledger, self.clock)
         # Cross-module wiring. Each module keeps its own contract; these
@@ -342,7 +339,7 @@ class Broker:
                           attributes: dict | None) -> AuthenticatedPrincipal:
         assertion = FederatedAssertion(issuer, subject, issued_at, expires_at,
                                        mfa_satisfied, dict(attributes or {}))
-        principal = self.directory.assert_federated(assertion, self.clock.now)
+        principal = self.directory.assert_federated(assertion)
         if principal.mfa_passed:
             self._authenticated[principal.netid] = principal
         return principal

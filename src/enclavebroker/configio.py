@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .broker import Broker
+from .broker import OPS, Broker
 from .enclave import RESEARCH_SUBNET, ZONE_IDS
 from .errors import BadRequest, BrokerError, DanglingReference, ParseError, SchemaError
 from .identity import Affiliation, GroupKind
@@ -260,7 +260,7 @@ def run_scenario(broker: Broker, scenario: Scenario) -> RunOutcome:
         op = step["op"]
         args = step.get("args", {})
         expect = step.get("expect")
-        if op not in broker.op_names:
+        if not isinstance(op, str) or op not in OPS:
             results.append(StepResult(i, op, False, f"unknown op {op!r}"))
             return RunOutcome(2, results, broker.ledger)
         try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .clock import SimClock
 from .errors import (
     AlreadyAdjudicated,
     EmptyPayload,
@@ -28,24 +27,10 @@ from .policy import PolicyEngine
 from .sessions import SessionBroker, SessionState
 
 
-class EgressKind(str, Enum):
-    CLIPBOARD_OUT = "clipboard-out"
-    FILE_OUT = "file-out"
-
-
 class ExportStatus(str, Enum):
     PENDING = "pending"
     APPROVED = "approved"
     DENIED = "denied"
-
-
-@dataclass
-class EgressAttempt:
-    session_id: str
-    kind: EgressKind
-    object_descriptor: str
-    at: int
-    verdict: Verdict
 
 
 @dataclass
@@ -55,10 +40,8 @@ class ExportRequest:
     requester: str
     payload: str
     status: ExportStatus
-    submitted_at: int
     broker: str | None = None
     rationale: str = ""
-    adjudicated_at: int | None = None
     release_token: str | None = None
 
     def to_wire(self) -> dict:
@@ -90,13 +73,11 @@ def decide_file(mode: AccessMode, endpoint_managed: bool) -> tuple[Verdict, str]
 
 class EgressControl:
     def __init__(self, sessions: SessionBroker, policy: PolicyEngine,
-                 ledger: AuditLedger, clock: SimClock, rng):
+                 ledger: AuditLedger, rng):
         self._sessions = sessions
         self._policy = policy
         self._ledger = ledger
-        self._clock = clock
         self._rng = rng
-        self.attempts: list[EgressAttempt] = []
         self._requests: dict[str, ExportRequest] = {}
         self._request_seq = 0
 
@@ -106,8 +87,7 @@ class EgressControl:
             raise SessionClosed(session_id)
         return session
 
-    def _log(self, session, kind: str, verdict: Verdict, extra: dict[str, str],
-             at: int) -> None:
+    def _log(self, session, kind: str, verdict: Verdict, extra: dict[str, str]) -> None:
         action = "egress-allow" if verdict is Verdict.ALLOW else "egress-deny"
         detail = {
             "session": session.id,
@@ -118,36 +98,25 @@ class EgressControl:
         detail.update(extra)
         # In-session actions are attributed to the arbitrary user; the ledger
         # resolves them back to the principal.
-        self._ledger.append(session.arbitrary_user, action, session.id, detail, at=at)
+        self._ledger.append(session.arbitrary_user, action, session.id, detail)
 
-    def attempt_clipboard(self, session_id: str, direction: str,
-                          now: int | None = None) -> Decision:
-        now = self._clock.now if now is None else now
+    def attempt_clipboard(self, session_id: str, direction: str) -> Decision:
         session = self._open_session(session_id)
         if direction not in ("in", "out"):
             raise ValueError(f"clipboard direction {direction!r}")
         verdict, reason = decide_clipboard(session.mode)
-        if direction == "out":
-            self.attempts.append(EgressAttempt(session_id, EgressKind.CLIPBOARD_OUT,
-                                               "clipboard", now, verdict))
-        self._log(session, "clipboard", verdict, {"direction": direction}, now)
+        self._log(session, "clipboard", verdict, {"direction": direction})
         return Decision(verdict, reason)
 
-    def attempt_file_egress(self, session_id: str, object_descriptor: str,
-                            now: int | None = None) -> Decision:
-        now = self._clock.now if now is None else now
+    def attempt_file_egress(self, session_id: str, object_descriptor: str) -> Decision:
         session = self._open_session(session_id)
         verdict, reason = decide_file(session.mode, session.endpoint_managed)
-        self.attempts.append(EgressAttempt(session_id, EgressKind.FILE_OUT,
-                                           object_descriptor, now, verdict))
-        self._log(session, "file", verdict, {"object": object_descriptor}, now)
+        self._log(session, "file", verdict, {"object": object_descriptor})
         return Decision(verdict, reason)
 
     # -- honest-broker export ---------------------------------------------------
 
-    def submit_export(self, session_id: str, payload: str,
-                      now: int | None = None) -> ExportRequest:
-        now = self._clock.now if now is None else now
+    def submit_export(self, session_id: str, payload: str) -> ExportRequest:
         session = self._open_session(session_id)
         if not payload or not payload.strip():
             raise EmptyPayload("export payload descriptor is empty")
@@ -158,7 +127,6 @@ class EgressControl:
             requester=session.principal,
             payload=payload,
             status=ExportStatus.PENDING,
-            submitted_at=now,
         )
         self._requests[request.id] = request
         self._ledger.append(session.arbitrary_user, "export-submit", request.id, {
@@ -166,7 +134,7 @@ class EgressControl:
             "project": session.project_id,
             "requester": session.principal,
             "payload": payload,
-        }, at=now)
+        })
         return request
 
     def request(self, request_id: str) -> ExportRequest:
@@ -181,8 +149,7 @@ class EgressControl:
                 and (project_id is None or r.project_id == project_id)]
 
     def adjudicate_export(self, broker: str, request_id: str, verdict: str,
-                          rationale: str, now: int | None = None) -> ExportRequest:
-        now = self._clock.now if now is None else now
+                          rationale: str) -> ExportRequest:
         request = self.request(request_id)
         if request.status is not ExportStatus.PENDING:
             raise AlreadyAdjudicated(request_id)
@@ -198,7 +165,6 @@ class EgressControl:
         request.status = ExportStatus(verdict)
         request.broker = broker
         request.rationale = rationale
-        request.adjudicated_at = now
         detail = {
             "request": request.id,
             "project": request.project_id,
@@ -209,5 +175,5 @@ class EgressControl:
         if request.status is ExportStatus.APPROVED:
             request.release_token = f"rel-{self._rng.getrandbits(64):016x}"
             detail["release_token"] = request.release_token
-        self._ledger.append(broker, "export-adjudicate", request.id, detail, at=now)
+        self._ledger.append(broker, "export-adjudicate", request.id, detail)
         return request

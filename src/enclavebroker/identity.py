@@ -85,7 +85,6 @@ class AuthenticatedPrincipal:
     netid: str
     method: AuthMethod
     mfa_passed: bool
-    authenticated_at: int
 
     def to_wire(self) -> dict:
         return {"netid": self.netid, "method": self.method.value,
@@ -137,12 +136,6 @@ class Directory:
             "sponsor": sponsor or "",
         })
         return user
-
-    def enroll_mfa(self, netid: str, secret: str) -> None:
-        user = self._require_user(netid)
-        self._mfa_secrets[netid] = secret
-        user.mfa_enrolled = True
-        self._ledger.append(netid, "mfa", netid, {"result": "enrolled"})
 
     def deactivate_user(self, actor: str, netid: str) -> list[str]:
         """Deactivate a user; sponsored affiliates cascade immediately."""
@@ -210,7 +203,8 @@ class Directory:
     def map_subject(self, issuer: str, subject: str, netid: str) -> None:
         self._subject_map.setdefault(issuer, {})[subject] = netid
 
-    def assert_federated(self, assertion: FederatedAssertion, now: int) -> AuthenticatedPrincipal:
+    def assert_federated(self, assertion: FederatedAssertion) -> AuthenticatedPrincipal:
+        now = self._clock.now
         if assertion.issuer not in self.trusted_issuers:
             raise UntrustedIssuer(assertion.issuer)
         if not (assertion.issued_at <= now <= assertion.expires_at):
@@ -227,34 +221,30 @@ class Directory:
             netid=netid,
             method=AuthMethod.FEDERATED,
             mfa_passed=assertion.mfa_satisfied,
-            authenticated_at=now,
         )
         self._ledger.append(netid, "authn", netid, {
             "method": "federated",
             "issuer": assertion.issuer,
             "subject": assertion.subject,
             "mfa": "true" if assertion.mfa_satisfied else "false",
-        }, at=now)
+        })
         return principal
 
     # -- MFA ---------------------------------------------------------------------
 
-    def verify_mfa(self, netid: str, factor_proof: str | None,
-                   now: int | None = None) -> AuthenticatedPrincipal:
-        now = self._clock.now if now is None else now
+    def verify_mfa(self, netid: str, factor_proof: str | None) -> AuthenticatedPrincipal:
         user = self._users.get(netid)
         if user is None or not user.active:
             raise UnknownUser(netid)
         if not factor_proof:
-            self._ledger.append(netid, "mfa", netid, {"result": "missing-proof"}, at=now)
+            self._ledger.append(netid, "mfa", netid, {"result": "missing-proof"})
             raise MfaRequired(netid)
         secret = self._mfa_secrets.get(netid)
         if not user.mfa_enrolled or secret is None or not hmac.compare_digest(secret, factor_proof):
-            self._ledger.append(netid, "mfa", netid, {"result": "failed"}, at=now)
+            self._ledger.append(netid, "mfa", netid, {"result": "failed"})
             raise MfaFailed(netid)
-        self._ledger.append(netid, "mfa", netid, {"result": "passed"}, at=now)
-        return AuthenticatedPrincipal(netid=netid, method=AuthMethod.LOCAL,
-                                      mfa_passed=True, authenticated_at=now)
+        self._ledger.append(netid, "mfa", netid, {"result": "passed"})
+        return AuthenticatedPrincipal(netid=netid, method=AuthMethod.LOCAL, mfa_passed=True)
 
     # -- groups --------------------------------------------------------------------
 

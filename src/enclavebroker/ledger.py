@@ -165,14 +165,14 @@ class AuditLedger:
     # -- writing -----------------------------------------------------------
 
     def append(self, actor: str, action: str, object_id: str,
-               detail: dict[str, str] | None = None, at: int | None = None) -> int:
+               detail: dict[str, str] | None = None) -> int:
         if action not in ACTIONS:
             raise UnknownAction(f"action {action!r} not in the closed vocabulary")
         detail = dict(detail or {})
         for key, value in detail.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise TypeError("event detail must be a flat string map")
-        at = self._clock.now if at is None else int(at)
+        at = self._clock.now
         seq = len(self._events) + 1
         digest = event_hash(seq, at, actor, action, object_id, detail, self._last_hash)
         event = AuditEvent(seq, at, actor, action, object_id, detail, self._last_hash, digest)
@@ -270,7 +270,6 @@ class AuditLedger:
         if period_end is None:
             period_end = self._clock.now
         project_events = self._by_project.get(project_id, [])
-        # A linear filter: `at` is not guaranteed monotonic, so no bisect.
         of_project = [e for e in project_events if period_start <= e.at <= period_end]
 
         sessions_by_mode: dict[str, int] = {"vpn": 0, "rdp": 0}

@@ -252,6 +252,3 @@ class DeliveryPipeline:
             "instances": ",".join(torn_down),
         })
         return image
-
-    def manifest(self) -> list[dict]:
-        return [self._images[k].to_wire() for k in sorted(self._images)]

@@ -59,7 +59,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._reply(_error_response(
                     None, "bad-request", f"request line over {MAX_REQUEST_BYTES} bytes"))
                 return
-            line = line.decode("utf-8").strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                self._reply(_error_response(None, "bad-request", f"not utf-8: {exc.reason}"))
+                continue
             if not line:
                 continue
             self._reply(handle_request_line(self.server.broker, line))

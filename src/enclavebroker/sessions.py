@@ -67,7 +67,6 @@ class AuthOutcome(str, Enum):
 class ArbitraryUser:
     name: str
     vm_id: str
-    created_at: int
     shadow_groups: set[str] = field(default_factory=set)
 
 
@@ -213,24 +212,21 @@ class SessionBroker:
     # -- opening ------------------------------------------------------------------
 
     def open_session(self, principal: AuthenticatedPrincipal, project_id: str,
-                     mode: AccessMode | str, endpoint_managed: bool,
-                     now: int | None = None, *,
+                     mode: AccessMode | str, endpoint_managed: bool, *,
                      src_zone: str = INTERNET) -> tuple[Session, ClientView]:
         return self._start(principal, project_id, AccessMode(mode), endpoint_managed,
-                           self._clock.now if now is None else now,
                            src_zone=src_zone, require_binding=False)
 
     def resume_session(self, principal: AuthenticatedPrincipal, project_id: str,
-                       mode: AccessMode | str, endpoint_managed: bool,
-                       now: int | None = None, *,
+                       mode: AccessMode | str, endpoint_managed: bool, *,
                        src_zone: str = INTERNET) -> tuple[Session, ClientView]:
         return self._start(principal, project_id, AccessMode(mode), endpoint_managed,
-                           self._clock.now if now is None else now,
                            src_zone=src_zone, require_binding=True)
 
     def _start(self, principal: AuthenticatedPrincipal, project_id: str,
-               mode: AccessMode, endpoint_managed: bool, now: int, *,
+               mode: AccessMode, endpoint_managed: bool, *,
                src_zone: str, require_binding: bool) -> tuple[Session, ClientView]:
+        now = self._clock.now
         if not principal.mfa_passed:
             raise MfaRequired(principal.netid)
         project = self._policy.get_project(project_id)
@@ -266,7 +262,7 @@ class SessionBroker:
                     "project": project_id,
                     "principal": netid,
                     "vm": binding.vm_id,
-                }, at=now)
+                })
             else:
                 vm = candidate
                 reused = True
@@ -278,7 +274,7 @@ class SessionBroker:
                 raise NoPath(f"no {mode.value} gateway admits to {project.zone}")
             vm = self._enclave.provision_vm(project_id, project.zone,
                                             DEFAULT_VM_CPU, DEFAULT_VM_RAM)
-            arbitrary = ArbitraryUser(name=self._mint_name(), vm_id=vm.id, created_at=now)
+            arbitrary = ArbitraryUser(name=self._mint_name(), vm_id=vm.id)
             self._vm_users[vm.id] = arbitrary
         else:
             del self._bindings[(netid, project_id)]
@@ -319,7 +315,7 @@ class SessionBroker:
             "method": principal.method.value,
             "mfa": "true",
             "project": project_id,
-        }, at=now)
+        })
         self._ledger.append(netid, "map", session_id, {
             "principal": netid,
             "arbitrary_user": arbitrary.name,
@@ -327,18 +323,18 @@ class SessionBroker:
             "mode": mode.value,
             "project": project_id,
             "resumed": "true" if reused else "false",
-        }, at=now)
+        })
 
         self.align_groups(session_id)
         attached = self._attached_shares(project, netid)
         self._ledger.append(netid, "attach", session_id, {
             "shares": ",".join(attached),
             "project": project_id,
-        }, at=now)
+        })
         self._ledger.append(netid, "credential-mint", credential.id, {
             "session": session_id,
             "project": project_id,
-        }, at=now)
+        })
 
         view = ClientView(session_id=session_id, vm_id=vm.id,
                           gateway_path=tuple(path.path), mode=mode.value)
@@ -394,8 +390,7 @@ class SessionBroker:
 
     # -- authentication (the attack surface) ----------------------------------------
 
-    def authenticate_to_vm(self, secret: str, vm_id: str,
-                           now: int | None = None) -> AuthOutcome:
+    def authenticate_to_vm(self, secret: str, vm_id: str) -> AuthOutcome:
         credential_id = self._by_secret.get(secret)
         if credential_id is None:
             return AuthOutcome.REJECTED
@@ -409,12 +404,11 @@ class SessionBroker:
 
     # -- closing -------------------------------------------------------------------
 
-    def close_session(self, session_id: str, now: int | None = None) -> Session:
-        now = self._clock.now if now is None else now
+    def close_session(self, session_id: str) -> Session:
         session = self.session(session_id)
         if session.state is not SessionState.OPEN:
             raise SessionAlreadyClosed(session_id)
-        self._finish(session, now, action="close", retain=True)
+        self._finish(session, action="close", retain=True)
         return session
 
     def force_close_for(self, netid: str, project_id: str,
@@ -424,19 +418,18 @@ class SessionBroker:
         for session in self._open_where(
                 lambda s: s.principal == netid and s.project_id == project_id
                 and s.mode == mode):
-            self._finish(session, self._clock.now, action="revoke-forced-close",
-                         retain=True)
+            self._finish(session, action="revoke-forced-close", retain=True)
             closed.append(session.id)
         return closed
 
     def handle_vm_destroyed(self, vm_id: str) -> None:
         """VM teardown closes any session riding it; nothing is retained."""
         for session in self._open_where(lambda s: s.vm_id == vm_id):
-            self._finish(session, self._clock.now, action="close",
-                         retain=False, cause="vm-destroyed")
+            self._finish(session, action="close", retain=False, cause="vm-destroyed")
 
-    def _finish(self, session: Session, now: int, *, action: str,
+    def _finish(self, session: Session, *, action: str,
                 retain: bool, cause: str | None = None) -> None:
+        now = self._clock.now
         self._destroy_credential(session.credential_id, session)
         self._unalign_groups(session)
         session.state = SessionState.CLOSED
@@ -464,12 +457,12 @@ class SessionBroker:
             detail["retained_until"] = str(retained_until)
         if cause:
             detail["cause"] = cause
-        self._ledger.append(session.principal, action, session.id, detail, at=now)
+        self._ledger.append(session.principal, action, session.id, detail)
 
     # -- retention sweep --------------------------------------------------------------
 
-    def expire_retained(self, now: int | None = None) -> list[str]:
-        now = self._clock.now if now is None else now
+    def expire_retained(self) -> list[str]:
+        now = self._clock.now
         reclaimed = []
         for key in sorted(self._bindings):
             binding = self._bindings[key]
@@ -484,5 +477,5 @@ class SessionBroker:
                 "project": binding.project_id,
                 "principal": binding.principal,
                 "vm": binding.vm_id,
-            }, at=now)
+            })
         return reclaimed

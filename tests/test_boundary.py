@@ -98,7 +98,6 @@ PINNED = {
     "export_ledger": {"events": 54, "sha256": "14a90a7f10b75cef14c31fba6fe9b441"
                                             "11f71841baae91b5de82a755d53d9ff4"},
     "destroy_vm": {"destroyed_at": 100, "disk": "absent", "vm": "vm-0001"},
-    "mint_credential": {"credential": "cred-000003", "state": "active"},
 }
 
 # The arguments each op cannot do without.
@@ -130,7 +129,6 @@ REQUIRED = {
     "open_session": ["netid", "project", "mode"],
     "resume_session": ["netid", "project", "mode"],
     "close_session": ["session"],
-    "mint_credential": ["arbitrary_user", "session"],
     "align_groups": ["session"],
     "authenticate_to_vm": ["secret", "vm"],
     "expire_retained": [],
@@ -230,7 +228,6 @@ def drive_every_op(broker) -> dict:
     op("compliance_report", {"project": "study"})
     op("export_ledger", {})
     op("destroy_vm", {"vm": vm})
-    op("mint_credential", {"arbitrary_user": "u-spare", "session": sid})
     return results
 
 
@@ -248,6 +245,9 @@ def test_every_op_once_through_the_boundary():
     assert list(results) == list(PINNED)
     for name, pinned in PINNED.items():
         assert results[name] == pinned, name
+    times = [e.at for e in broker.ledger.events]
+    assert times == sorted(times)
+    assert times[-1] <= broker.clock.now
 
 
 def test_required_arguments_match_the_declared_ones():
@@ -371,6 +371,24 @@ class TestFederatedTime:
             "expires_at": 500, "mfa_satisfied": True, "now": 400})
         event = broker.ledger.events[-1]
         assert (event.action, event.at) == ("authn", 100)
+
+
+def test_wire_clients_cannot_mint_credentials():
+    """Only opening a session mints a credential, so a closed session's
+    arbitrary user stays resumable."""
+    broker = make_broker()
+    visit = {"netid": "res1", "project": "study", "mode": "rdp"}
+    broker.op("verify_mfa", {"netid": "res1", "proof": "mfa-res1"})
+    broker.op("grant_access", {"actor": "stw1", "project": "study", "netid": "res1",
+                               "mode": "rdp"})
+    sid = broker.op("open_session", visit)["session_id"]
+    broker.op("close_session", {"session": sid})
+    session = broker.sessions.session(sid)
+    with pytest.raises(BrokerError) as err:
+        broker.op("mint_credential", {"arbitrary_user": session.arbitrary_user,
+                                      "session": sid})
+    assert err.value.code == "unknown-op"
+    assert broker.op("resume_session", visit)["vm_id"] == session.vm_id
 
 
 def test_origin_without_scheme_is_a_client_error():

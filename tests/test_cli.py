@@ -102,6 +102,11 @@ class TestRunScenario:
         outcome = run_scenario(broker, Scenario(0, 0, [{"op": "frobnicate"}]))
         assert outcome.exit_code == 2
 
+    def test_step_whose_op_is_not_a_string_exits_two(self):
+        broker = build_broker(TOPOLOGY, DIRECTORY)
+        outcome = run_scenario(broker, Scenario(0, 0, [{"op": ["advance"]}]))
+        assert outcome.exit_code == 2
+
     def test_expected_error_passes(self):
         broker = build_broker(TOPOLOGY, DIRECTORY)
         scenario = Scenario(0, 0, [
@@ -332,6 +337,15 @@ class TestWireService:
         with socket.create_connection(server.address, timeout=10) as conn:
             conn.sendall(line.encode("utf-8") + b"\n")
             with conn.makefile("rb") as reader:
+                assert json.loads(reader.readline())["ok"] is True
+
+    def test_request_line_that_is_not_utf8_is_answered(self, server):
+        import socket
+        with socket.create_connection(server.address, timeout=10) as conn:
+            conn.sendall(b'{"op":"verify_chain","args":{"x":"\xff"}}\n')
+            conn.sendall(b'{"id":3,"op":"verify_chain","args":{}}\n')
+            with conn.makefile("rb") as reader:
+                assert json.loads(reader.readline())["error"]["code"] == "bad-request"
                 assert json.loads(reader.readline())["ok"] is True
 
     def test_unknown_op(self, server):

@@ -94,7 +94,8 @@ class TestFederation:
 
     def test_mapped_subject(self, broker):
         assertion = self.setup_assertion(broker)
-        principal = broker.directory.assert_federated(assertion, now=50)
+        broker.clock.advance(50)
+        principal = broker.directory.assert_federated(assertion)
         assert principal.netid == "alice-aff"
         assert principal.method.value == "federated"
         assert principal.mfa_passed
@@ -103,29 +104,34 @@ class TestFederation:
         self.setup_assertion(broker)
         evil = FederatedAssertion(issuer="idp.evil", subject="alice", issued_at=10,
                                   expires_at=100, mfa_satisfied=True)
+        broker.clock.advance(50)
         with pytest.raises(UntrustedIssuer):
-            broker.directory.assert_federated(evil, now=50)
+            broker.directory.assert_federated(evil)
 
     def test_expired_assertion(self, broker):
         assertion = self.setup_assertion(broker)
+        broker.clock.advance(101)
         with pytest.raises(AssertionExpired):
-            broker.directory.assert_federated(assertion, now=101)
+            broker.directory.assert_federated(assertion)
 
     def test_not_yet_valid_assertion(self, broker):
         assertion = self.setup_assertion(broker)
+        broker.clock.advance(5)
         with pytest.raises(AssertionExpired):
-            broker.directory.assert_federated(assertion, now=5)
+            broker.directory.assert_federated(assertion)
 
     def test_unmapped_subject(self, broker):
         self.setup_assertion(broker)
         stranger = FederatedAssertion(issuer="idp.uni-a", subject="bob", issued_at=10,
                                       expires_at=100, mfa_satisfied=True)
+        broker.clock.advance(50)
         with pytest.raises(UnmappedSubject):
-            broker.directory.assert_federated(stranger, now=50)
+            broker.directory.assert_federated(stranger)
 
     def test_mfa_flag_copies(self, broker):
         assertion = self.setup_assertion(broker, mfa_satisfied=False)
-        principal = broker.directory.assert_federated(assertion, now=50)
+        broker.clock.advance(50)
+        principal = broker.directory.assert_federated(assertion)
         assert not principal.mfa_passed
 
 

@@ -38,12 +38,13 @@ def test_federated_never_accepts_untrusted_issuer(issuer):
     broker.directory.map_subject("idp.good", "alice", "res1")
     assertion = FederatedAssertion(issuer=issuer, subject="alice", issued_at=0,
                                    expires_at=100, mfa_satisfied=True)
+    broker.clock.advance(50)
     if issuer == "idp.good":
-        principal = broker.directory.assert_federated(assertion, now=50)
+        principal = broker.directory.assert_federated(assertion)
         assert principal.netid == "res1"
     else:
         with pytest.raises(UntrustedIssuer):
-            broker.directory.assert_federated(assertion, now=50)
+            broker.directory.assert_federated(assertion)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -221,6 +222,12 @@ class SessionLifecycle(RuleBasedStateMachine):
         active = [c for c in sessions._credentials.values()
                   if c.state is CredentialState.ACTIVE]
         assert len(sessions._by_secret) == len(active)
+
+    @invariant()
+    def ledger_time_never_decreases(self):
+        times = [e.at for e in self.broker.ledger.events]
+        assert times == sorted(times)
+        assert times[-1] <= self.broker.clock.now
 
 
 TestSessionLifecycle = SessionLifecycle.TestCase

@@ -99,7 +99,8 @@ class TestOpenSession:
         assertion = FederatedAssertion(issuer="idp.partner", subject="visitor",
                                        issued_at=0, expires_at=3600,
                                        mfa_satisfied=True)
-        principal = broker.directory.assert_federated(assertion, now=10)
+        broker.clock.advance(10)
+        principal = broker.directory.assert_federated(assertion)
         session, _ = broker.sessions.open_session(principal, "study", "rdp", False)
         authn = broker.ledger.reconstruct_session(session.id)[0]
         assert authn.detail["method"] == "federated"
