@@ -308,6 +308,8 @@ class Broker:
     # -- dispatch ----------------------------------------------------------------
 
     def op(self, name: str, args: dict | None = None) -> Any:
+        if not isinstance(name, str):
+            raise BadRequest(f"op must be a string, not {type(name).__name__}")
         spec = OPS.get(name)
         if spec is None:
             raise UnknownOp(name)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from .clock import SimClock
@@ -81,27 +82,49 @@ class AuditEvent:
     this_hash: str
 
     def export_line(self) -> str:
-        record = {
-            "seq": self.seq,
-            "at": self.at,
-            "actor": self.actor,
-            "action": self.action,
-            "object": self.object,
-            "detail": {k: self.detail[k] for k in sorted(self.detail)},
-            "prev_hash": self.prev_hash,
-            "this_hash": self.this_hash,
-        }
-        return json.dumps(record, separators=(",", ":"))
+        return _canonical_json(self.seq, self.at, self.actor, self.action, self.object,
+                               self.detail, self.prev_hash, self.this_hash, export=True)
 
 
 def event_hash(seq: int, at: int, actor: str, action: str, object_id: str,
                detail: dict[str, str], prev_hash: str) -> str:
     """Canonical digest of one event; detail keys are sorted for stability."""
-    body = json.dumps(
-        [seq, at, actor, action, object_id, sorted(detail.items()), prev_hash],
-        separators=(",", ":"),
-    )
+    body = _canonical_json(seq, at, actor, action, object_id, detail, prev_hash, None,
+                           export=False)
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
+                    detail: dict[str, str], prev_hash: str, this_hash: str | None,
+                    export: bool) -> str:
+    """The one canonical JSON of an event: the export line, or the hash input
+    `[seq,at,actor,action,object,[[k,v],...],prev_hash]`.
+
+    Both are built by hand and equal `json.dumps` of the same values with
+    separators `(",", ":")`: strings are quoted by the C function that
+    `json.dumps` itself uses, and ints are written as `json.dumps` writes
+    them. A field of any other type (a bool, a float, None, a detail key or
+    value that is not a string) is left to `json.dumps`.
+    """
+    items = sorted(detail.items())
+    if type(seq) is int and type(at) is int:
+        try:
+            actor_q, action_q, object_q = _quote(actor), _quote(action), _quote(object_id)
+            if not export:
+                pairs = ",".join([f"[{_quote(k)},{_quote(v)}]" for k, v in items])
+                return f"[{seq},{at},{actor_q},{action_q},{object_q},[{pairs}],{_quote(prev_hash)}]"
+            pairs = ",".join([f"{_quote(k)}:{_quote(v)}" for k, v in items])
+            return (f'{{"seq":{seq},"at":{at},"actor":{actor_q},"action":{action_q},'
+                    f'"object":{object_q},"detail":{{{pairs}}},"prev_hash":{_quote(prev_hash)},'
+                    f'"this_hash":{_quote(this_hash)}}}')
+        except TypeError:  # _quote was given a field that is not a str
+            pass
+    if not export:
+        return json.dumps([seq, at, actor, action, object_id, items, prev_hash],
+                          separators=(",", ":"))
+    record = {"seq": seq, "at": at, "actor": actor, "action": action, "object": object_id,
+              "detail": dict(items), "prev_hash": prev_hash, "this_hash": this_hash}
+    return json.dumps(record, separators=(",", ":"))
 
 
 @dataclass
@@ -218,7 +241,8 @@ class AuditLedger:
         return len(self._events)
 
     def head_count(self) -> int:
-        """Externally stored event count; pairs with the chain to detect truncation."""
+        """The event count. Not stored outside the ledger yet, so it cannot
+        reveal a truncated suffix."""
         return len(self._events)
 
     def resolve_identity(self, arbitrary_user: str, at: int) -> str:
@@ -239,8 +263,8 @@ class AuditLedger:
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute every digest; returns (ok, first bad seq).
 
-        A truncated suffix is not detectable by the chain alone; callers
-        compare len() against the externally stored head count for that.
+        A truncated suffix is not detectable by the chain alone; that needs a
+        head count stored outside the ledger.
         """
         prev = GENESIS_HASH
         for i, event in enumerate(self._events):

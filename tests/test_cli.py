@@ -307,6 +307,8 @@ class TestWireService:
         ("advance", {"seconds": "x"}),
         ("register_user", {"netid": "m1", "affiliation": "martian"}),
         ("verify_mfa", ["res1"]),
+        (["verify_chain"], {}),             # an op name that is not a string
+        ({"name": "verify_chain"}, {}),
     ])
     def test_bad_arguments_get_bad_request(self, server, op, args):
         line = json.dumps({"id": 4, "op": op, "args": args})

@@ -138,12 +138,32 @@ class TestVerifyChain:
         assert not ok
         assert bad == 5
 
+    # A field swapped for another type that writes the same digits must not
+    # hash like the original: "5" is not 5, and True is not 1.
+    def test_at_replaced_by_its_digits_as_a_string(self, broker):
+        broker.clock.advance(42)
+        seq = broker.ledger.append("admin1", "register", "x", {})
+        target = broker.ledger._events[seq - 1]
+        broker.ledger._events[seq - 1] = dataclasses.replace(target, at=str(target.at))
+        assert broker.ledger.verify_chain() == (False, seq)
+
+    def test_first_seq_replaced_by_true(self, broker):
+        open_rdp(broker)
+        broker.ledger._events[0] = dataclasses.replace(broker.ledger._events[0], seq=True)
+        assert broker.ledger.verify_chain() == (False, 1)
+
+    def test_detail_value_replaced_by_an_int(self, broker):
+        seq = broker.ledger.append("admin1", "resize", "vm-1", {"cpu": "5"})
+        target = broker.ledger._events[seq - 1]
+        broker.ledger._events[seq - 1] = dataclasses.replace(target, detail={"cpu": 5})
+        assert broker.ledger.verify_chain() == (False, seq)
+
     def test_truncation_caught_by_head_count(self, broker):
         open_rdp(broker)
         head = broker.ledger.head_count()
         removed = broker.ledger._events.pop()
-        assert broker.ledger.verify_chain()[0] is False or True
         # the chain alone cannot see a dropped suffix; the stored head can
+        assert broker.ledger.verify_chain() == (True, None)
         assert len(broker.ledger._events) != head
         broker.ledger._events.append(removed)
         assert broker.ledger.verify_chain() == (True, None)

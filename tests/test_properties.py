@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from enclavebroker.errors import BrokerError, ContentDestroyed, UntrustedIssuer
 from enclavebroker.identity import FederatedAssertion
+from enclavebroker.ledger import AuditEvent, event_hash
 from enclavebroker.model import AccessMode
 from enclavebroker.sessions import DAY, AuthOutcome, CredentialState, SessionState
 
@@ -45,6 +48,27 @@ def test_federated_never_accepts_untrusted_issuer(issuer):
     else:
         with pytest.raises(UntrustedIssuer):
             broker.directory.assert_federated(assertion)
+
+
+# Any JSON scalar, so that the hand-built encoding is checked on the
+# fields it writes itself (text, ints) and on those it leaves to json.dumps.
+_scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.floats(), st.none())
+
+
+@given(fields=st.tuples(_scalars, _scalars, _scalars, _scalars, _scalars,
+                        st.dictionaries(st.text(), _scalars), _scalars, _scalars))
+@settings(max_examples=1000, deadline=None)
+def test_canonical_encoding_equals_json_dumps(fields):
+    seq, at, actor, action, object_id, detail, prev_hash, this_hash = fields
+    body = json.dumps([seq, at, actor, action, object_id, sorted(detail.items()), prev_hash],
+                      separators=(",", ":"))
+    assert (event_hash(seq, at, actor, action, object_id, detail, prev_hash)
+            == hashlib.sha256(body.encode("utf-8")).hexdigest())
+    record = {"seq": seq, "at": at, "actor": actor, "action": action, "object": object_id,
+              "detail": {k: detail[k] for k in sorted(detail)}, "prev_hash": prev_hash,
+              "this_hash": this_hash}
+    event = AuditEvent(seq, at, actor, action, object_id, detail, prev_hash, this_hash)
+    assert event.export_line() == json.dumps(record, separators=(",", ":"))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
