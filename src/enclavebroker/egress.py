@@ -17,14 +17,13 @@ from .errors import (
     EmptyPayload,
     EmptyRationale,
     SelfAdjudication,
-    SessionClosed,
     Unauthorized,
     UnknownExportRequest,
 )
 from .ledger import AuditLedger
 from .model import AccessMode, Decision, Verdict
 from .policy import PolicyEngine
-from .sessions import SessionBroker, SessionState
+from .sessions import SessionBroker
 
 
 class ExportStatus(str, Enum):
@@ -81,12 +80,6 @@ class EgressControl:
         self._requests: dict[str, ExportRequest] = {}
         self._request_seq = 0
 
-    def _open_session(self, session_id: str):
-        session = self._sessions.session(session_id)
-        if session.state is not SessionState.OPEN:
-            raise SessionClosed(session_id)
-        return session
-
     def _log(self, session, kind: str, verdict: Verdict, extra: dict[str, str]) -> None:
         action = "egress-allow" if verdict is Verdict.ALLOW else "egress-deny"
         detail = {
@@ -101,7 +94,7 @@ class EgressControl:
         self._ledger.append(session.arbitrary_user, action, session.id, detail)
 
     def attempt_clipboard(self, session_id: str, direction: str) -> Decision:
-        session = self._open_session(session_id)
+        session = self._sessions.session(session_id)
         if direction not in ("in", "out"):
             raise ValueError(f"clipboard direction {direction!r}")
         verdict, reason = decide_clipboard(session.mode)
@@ -109,7 +102,7 @@ class EgressControl:
         return Decision(verdict, reason)
 
     def attempt_file_egress(self, session_id: str, object_descriptor: str) -> Decision:
-        session = self._open_session(session_id)
+        session = self._sessions.session(session_id)
         verdict, reason = decide_file(session.mode, session.endpoint_managed)
         self._log(session, "file", verdict, {"object": object_descriptor})
         return Decision(verdict, reason)
@@ -117,7 +110,7 @@ class EgressControl:
     # -- honest-broker export ---------------------------------------------------
 
     def submit_export(self, session_id: str, payload: str) -> ExportRequest:
-        session = self._open_session(session_id)
+        session = self._sessions.session(session_id)
         if not payload or not payload.strip():
             raise EmptyPayload("export payload descriptor is empty")
         self._request_seq += 1

@@ -491,6 +491,9 @@ class Enclave:
     def _resolve_endpoint(self, label: str) -> _Endpoint | None:
         vm = self.vms.get(label)
         if vm is not None:
+            # A destroyed VM's record is kept for its errors, not as an endpoint.
+            if vm.state is VmState.DESTROYED:
+                return None
             return _Endpoint(label, "vm", vm.zone, vm.project_id or None)
         share = self.shares.get(label)
         if share is not None:

@@ -20,13 +20,6 @@ class Tier(str, Enum):
     RESTRICTED = "restricted"
     SENSITIVE = "sensitive"
 
-    @property
-    def rank(self) -> int:
-        return _TIER_RANK[self]
-
-
-_TIER_RANK = {Tier.PUBLIC: 0, Tier.RESTRICTED: 1, Tier.SENSITIVE: 2}
-
 
 class Verdict(str, Enum):
     ALLOW = "allow"

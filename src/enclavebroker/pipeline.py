@@ -88,14 +88,12 @@ class DeployedInstance:
 
 class DeliveryPipeline:
     def __init__(self, directory: Directory, policy: PolicyEngine, enclave: Enclave,
-                 ledger: AuditLedger, clock: SimClock, *,
-                 vetter_group: str = VETTER_GROUP):
+                 ledger: AuditLedger, clock: SimClock):
         self._directory = directory
         self._policy = policy
         self._enclave = enclave
         self._ledger = ledger
         self._clock = clock
-        self.vetter_group = vetter_group
         self._images: dict[str, ContainerImage] = {}
         self._instances: dict[str, DeployedInstance] = {}
         self._image_seq = 0
@@ -144,7 +142,7 @@ class DeliveryPipeline:
         image = self.image(image_id)
         if image.state is not ImageState.DRAFTED:
             raise WrongState(f"{image_id} is {image.state.value}, not drafted")
-        if not self._directory.is_member(self.vetter_group, vetter):
+        if not self._directory.is_member(VETTER_GROUP, vetter):
             raise Unauthorized(f"{vetter} does not hold the vetter role")
         if not report or not report.strip():
             raise EmptyReport(image_id)

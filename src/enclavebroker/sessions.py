@@ -23,6 +23,7 @@ from .clock import SimClock
 from .enclave import AccessContext, Enclave, INTERNET, VmState
 from .errors import (
     AccessDenied,
+    BrokerError,
     CredentialAlreadyActive,
     MfaRequired,
     NoPath,
@@ -48,11 +49,6 @@ DEFAULT_VM_RAM = 16
 MODE_SERVICE = {AccessMode.RDP: "rdp", AccessMode.VPN: "ssh"}
 
 
-class CredentialState(str, Enum):
-    ACTIVE = "active"
-    DESTROYED = "destroyed"
-
-
 class SessionState(str, Enum):
     OPEN = "open"
     CLOSED = "closed"
@@ -76,7 +72,6 @@ class EphemeralCredential:
     arbitrary_user: str
     secret: str
     session_id: str
-    state: CredentialState = CredentialState.ACTIVE
 
 
 @dataclass
@@ -133,8 +128,9 @@ class SessionBroker:
         self._rng = rng
         self.retention_days = retention_days
         self.allow_concurrent = allow_concurrent
-        self._sessions: dict[str, Session] = {}
-        # Open sessions only, so per-step checks cost O(open), not O(history).
+        # Live state only: a session, its credential and secret leave at
+        # close, and an arbitrary user when its VM is destroyed. The ledger
+        # keeps their history.
         self._open: dict[str, Session] = {}
         self._credentials: dict[str, EphemeralCredential] = {}
         self._by_secret: dict[str, str] = {}
@@ -148,10 +144,22 @@ class SessionBroker:
     # -- lookups ----------------------------------------------------------------
 
     def session(self, session_id: str) -> Session:
-        session = self._sessions.get(session_id)
-        if session is None:
-            raise UnknownSession(session_id)
-        return session
+        """The open session ``session_id``; a closed one is ``SessionClosed``."""
+        return self._open_or(session_id, SessionClosed)
+
+    def _open_or(self, session_id: str, closed: type[BrokerError]) -> Session:
+        session = self._open.get(session_id)
+        if session is not None:
+            return session
+        # Closed sessions are not kept: an id this broker issued, s-000001 up
+        # to s-{_session_seq}, that is not open is a closed one.
+        try:
+            n = int(session_id[2:])
+        except ValueError:
+            n = 0
+        if 0 < n <= self._session_seq and session_id == f"s-{n:06d}":
+            raise closed(session_id)
+        raise UnknownSession(session_id)
 
     def credential(self, credential_id: str) -> EphemeralCredential:
         return self._credentials[credential_id]
@@ -197,13 +205,9 @@ class SessionBroker:
         return credential
 
     def _destroy_credential(self, credential_id: str, session: Session) -> None:
-        credential = self._credentials[credential_id]
-        if credential.state is CredentialState.DESTROYED:
-            return
-        credential.state = CredentialState.DESTROYED
-        # Only live secrets stay findable; a destroyed one is rejected anyway.
+        credential = self._credentials.pop(credential_id)
         del self._by_secret[credential.secret]
-        self._active_by_user.pop(credential.arbitrary_user, None)
+        del self._active_by_user[credential.arbitrary_user]
         self._ledger.append(session.principal, "credential-destroy", credential.id, {
             "session": session.id,
             "project": session.project_id,
@@ -307,7 +311,6 @@ class SessionBroker:
             endpoint_managed=endpoint_managed,
             gateway_path=list(path.path),
         )
-        self._sessions[session_id] = session
         self._open[session_id] = session
 
         self._ledger.append(netid, "authn", session_id, {
@@ -361,8 +364,6 @@ class SessionBroker:
 
     def align_groups(self, session_id: str) -> list[str]:
         session = self.session(session_id)
-        if session.state is not SessionState.OPEN:
-            raise SessionClosed(session_id)
         project = self._policy.get_project(session.project_id)
         arbitrary = self._vm_users[session.vm_id]
         created = []
@@ -375,9 +376,7 @@ class SessionBroker:
         return created
 
     def _unalign_groups(self, session: Session) -> None:
-        arbitrary = self._vm_users.get(session.vm_id)
-        if arbitrary is None:
-            return
+        arbitrary = self._vm_users[session.vm_id]
         for group_name in sorted(arbitrary.shadow_groups):
             self._directory.shadow_detach(group_name, arbitrary.name)
         arbitrary.shadow_groups.clear()
@@ -394,20 +393,13 @@ class SessionBroker:
         credential_id = self._by_secret.get(secret)
         if credential_id is None:
             return AuthOutcome.REJECTED
-        credential = self._credentials[credential_id]
-        if credential.state is not CredentialState.ACTIVE:
-            return AuthOutcome.REJECTED
-        session = self._sessions[credential.session_id]
-        if session.state is not SessionState.OPEN or session.vm_id != vm_id:
-            return AuthOutcome.REJECTED
-        return AuthOutcome.ACCEPTED
+        session = self._open[self._credentials[credential_id].session_id]
+        return AuthOutcome.ACCEPTED if session.vm_id == vm_id else AuthOutcome.REJECTED
 
     # -- closing -------------------------------------------------------------------
 
     def close_session(self, session_id: str) -> Session:
-        session = self.session(session_id)
-        if session.state is not SessionState.OPEN:
-            raise SessionAlreadyClosed(session_id)
+        session = self._open_or(session_id, SessionAlreadyClosed)
         self._finish(session, action="close", retain=True)
         return session
 
@@ -423,9 +415,11 @@ class SessionBroker:
         return closed
 
     def handle_vm_destroyed(self, vm_id: str) -> None:
-        """VM teardown closes any session riding it; nothing is retained."""
+        """VM teardown closes any session riding it and drops its arbitrary
+        user; nothing is retained."""
         for session in self._open_where(lambda s: s.vm_id == vm_id):
             self._finish(session, action="close", retain=False, cause="vm-destroyed")
+        self._vm_users.pop(vm_id, None)
 
     def _finish(self, session: Session, *, action: str,
                 retain: bool, cause: str | None = None) -> None:

@@ -382,13 +382,43 @@ def test_wire_clients_cannot_mint_credentials():
     broker.op("grant_access", {"actor": "stw1", "project": "study", "netid": "res1",
                                "mode": "rdp"})
     sid = broker.op("open_session", visit)["session_id"]
-    broker.op("close_session", {"session": sid})
     session = broker.sessions.session(sid)
+    broker.op("close_session", {"session": sid})
     with pytest.raises(BrokerError) as err:
         broker.op("mint_credential", {"arbitrary_user": session.arbitrary_user,
                                       "session": sid})
     assert err.value.code == "unknown-op"
     assert broker.op("resume_session", visit)["vm_id"] == session.vm_id
+
+
+def test_closed_session_ids_keep_their_codes():
+    """Closed sessions are not kept, yet an id the broker issued still tells
+    `session-closed` from `unknown-session`, on the gateway path as well."""
+    broker = make_broker()
+    broker.op("verify_mfa", {"netid": "res1", "proof": "mfa-res1"})
+    broker.op("grant_access", {"actor": "stw1", "project": "study", "netid": "res1",
+                               "mode": "rdp"})
+    view = broker.op("open_session", {"netid": "res1", "project": "study", "mode": "rdp"})
+    sid = view["session_id"]
+    gateway = {"src": "internet", "dst": view["vm_id"], "service": "rdp", "session": sid}
+    assert broker.op("is_reachable", gateway)["verdict"] == "allow"
+    broker.op("close_session", {"session": sid})
+
+    def code(op: str, args: dict) -> str:
+        with pytest.raises(BrokerError) as err:
+            broker.op(op, args)
+        return err.value.code
+
+    assert code("close_session", {"session": sid}) == "session-already-closed"
+    for op, args in (("is_reachable", gateway), ("align_groups", {"session": sid}),
+                     ("attempt_clipboard", {"session": sid}),
+                     ("attempt_file_egress", {"session": sid}),
+                     ("submit_export", {"session": sid, "payload": "results.tar"})):
+        assert code(op, args) == "session-closed", op
+    for other in ("s-000002", "s-000000", "s-1", "s-0000001", "s-+00001", "t-000001",
+                  "s-", "s-" + "9" * 5000):
+        assert code("close_session", {"session": other}) == "unknown-session", other
+        assert code("is_reachable", {**gateway, "session": other}) == "unknown-session"
 
 
 def test_origin_without_scheme_is_a_client_error():

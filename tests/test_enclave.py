@@ -278,6 +278,29 @@ class TestReachability:
         with pytest.raises(UnknownEndpoint):
             broker.enclave.is_reachable("internet", "vm-9999", "rdp")
 
+    def test_destroyed_vm_is_not_an_endpoint(self, broker):
+        """Exception rules on a destroyed VM open no path to or from it, and
+        a refused query leaves no traverse event."""
+        vm = broker.enclave.provision_vm("study", "research-subnet", 4, 16)
+        origin = "https://provider.example.org"
+        broker.op("register_exception", {"actor": "admin1", "service": "https",
+                                         "src": "campus", "dst": vm.id,
+                                         "documented_by": "inbound"})
+        broker.op("register_exception", {"actor": "admin1", "service": "https",
+                                         "src": vm.id, "dst": origin,
+                                         "direction": "outbound",
+                                         "documented_by": "outbound"})
+        queries = [{"src": "campus", "dst": vm.id, "service": "https"},
+                   {"src": vm.id, "dst": origin, "service": "https"}]
+        for query in queries:
+            assert broker.op("is_reachable", query)["verdict"] == "allow"
+        broker.enclave.destroy_vm(vm.id)
+        before = len(broker.ledger)
+        for query in queries:
+            with pytest.raises(UnknownEndpoint):
+                broker.op("is_reachable", query)
+        assert len(broker.ledger) == before
+
     def test_every_verdict_names_a_known_rule(self, broker):
         """Reasons come from a closed catalog; none are empty."""
         import random

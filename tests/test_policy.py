@@ -91,10 +91,10 @@ class TestGrants:
     def test_revoke_force_closes_open_sessions(self, broker):
         """Replay grant -> open -> revoke and check the terminal states."""
         session, _ = open_rdp(broker, "res1", "study")
+        secret = broker.sessions.credential(session.credential_id).secret
         broker.policy.revoke_access("stw1", "study", "res1", "rdp")
         assert session.state.value == "closed"
-        credential = broker.sessions.credential(session.credential_id)
-        assert credential.state.value == "destroyed"
+        assert broker.sessions.authenticate_to_vm(secret, session.vm_id).value == "rejected"
         trail = broker.ledger.reconstruct_session(session.id)
         assert trail[-1].action == "revoke-forced-close"
 

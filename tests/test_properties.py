@@ -13,7 +13,7 @@ from enclavebroker.errors import BrokerError, ContentDestroyed, UntrustedIssuer
 from enclavebroker.identity import FederatedAssertion
 from enclavebroker.ledger import AuditEvent, event_hash
 from enclavebroker.model import AccessMode
-from enclavebroker.sessions import DAY, AuthOutcome, CredentialState, SessionState
+from enclavebroker.sessions import DAY, AuthOutcome
 
 from conftest import authenticate, make_broker
 from oracles import bfs_reachable
@@ -235,17 +235,14 @@ class SessionLifecycle(RuleBasedStateMachine):
 
     @invariant()
     def open_index_matches_history(self):
-        sessions = self.broker.sessions
-        expected = [sid for sid, s in sorted(sessions._sessions.items())
-                    if s.state is SessionState.OPEN]
-        assert [s.id for s in sessions.open_sessions()] == expected
+        expected = sorted(sid for (sid, _, _) in self.open.values())
+        assert [s.id for s in self.broker.sessions.open_sessions()] == expected
 
     @invariant()
     def only_live_secrets_are_kept(self):
         sessions = self.broker.sessions
-        active = [c for c in sessions._credentials.values()
-                  if c.state is CredentialState.ACTIVE]
-        assert len(sessions._by_secret) == len(active)
+        assert set(sessions._by_secret) == {secret for (_, secret, _) in self.open.values()}
+        assert len(sessions._credentials) == len(self.open)
 
     @invariant()
     def ledger_time_never_decreases(self):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from enclavebroker.configio import build_broker
 from enclavebroker.enclave import VmState
 from enclavebroker.errors import (
     AccessDenied,
@@ -17,6 +18,7 @@ from enclavebroker.errors import (
     UnmanagedEndpoint,
     VmUnavailable,
 )
+from enclavebroker.loadgen import build_directory, build_scenario, build_topology
 from enclavebroker.sessions import AuthOutcome, DAY, SessionState
 
 from conftest import authenticate, make_broker, open_rdp
@@ -28,7 +30,8 @@ class TestOpenSession:
         assert re.fullmatch(r"u-[0-9a-f]{8}", session.arbitrary_user)
         assert session.state is SessionState.OPEN
         credential = broker.sessions.credential(session.credential_id)
-        assert credential.state.value == "active"
+        assert broker.sessions.authenticate_to_vm(credential.secret, session.vm_id) \
+            is AuthOutcome.ACCEPTED
         wire = view.to_wire()
         assert set(wire) == {"session_id", "vm_id", "gateway_path", "mode"}
         assert credential.secret not in json.dumps(wire)
@@ -154,7 +157,6 @@ class TestMintCredential:
         for i in range(10_000):
             credential = broker.sessions.mint_credential(f"u-{i:08x}", f"s-{i:06d}")
             secrets.add(credential.secret)
-            credential.state = credential.state.__class__.DESTROYED
         assert len(secrets) == 10_000
 
 
@@ -240,10 +242,12 @@ class TestAuthenticateToVm:
 class TestCloseAndRetention:
     def test_close_retains_vm_and_destroys_credential(self, broker):
         session, _ = open_rdp(broker)
+        secret = broker.sessions.credential(session.credential_id).secret
         broker.sessions.close_session(session.id)
         assert broker.enclave.vm(session.vm_id).state is VmState.RETAINED
-        credential = broker.sessions.credential(session.credential_id)
-        assert credential.state.value == "destroyed"
+        assert broker.sessions.authenticate_to_vm(secret, session.vm_id) is AuthOutcome.REJECTED
+        destroyed = [e.object for e in broker.ledger.events if e.action == "credential-destroy"]
+        assert destroyed == [session.credential_id]
         binding = broker.sessions.binding("res1", "study")
         assert binding.retained_until == broker.clock.now + 30 * DAY
 
@@ -334,20 +338,52 @@ class TestExpireRetained:
         assert broker.sessions.expire_retained() == []
 
 
+class TestLiveStateOnly:
+    def test_replay_holds_only_live_state(self, tmp_path):
+        """Soak: after each step of a loadgen replay the broker holds one
+        session, credential, secret and active user per open session, and
+        one arbitrary user per VM not yet destroyed; at the end, none."""
+        topology = tmp_path / "topology.json"
+        topology.write_text(json.dumps(build_topology(host_cpu=1024, host_ram=4096)))
+        directory = tmp_path / "directory.json"
+        directory.write_text(json.dumps(build_directory()))
+        scenario = build_scenario(seed=3, sessions_target=400)
+        broker = build_broker(topology, directory, seed=scenario["seed"],
+                              start_time=scenario["clock"])
+        held = broker.sessions
+        open_ids: set[str] = set()
+        for step in scenario["steps"]:
+            result = broker.op(step["op"], step["args"])
+            if step["op"] == "open_session":
+                open_ids.add(result["session_id"])
+            elif step["op"] == "close_session":
+                open_ids.remove(step["args"]["session"])
+            live_vms = {vm.id for vm in broker.enclave.vms.values()
+                        if vm.state is not VmState.DESTROYED}
+            assert set(held._open) == open_ids
+            assert len(held._credentials) == len(held._by_secret) == len(open_ids)
+            assert len(held._active_by_user) == len(open_ids)
+            assert set(held._vm_users) == live_vms
+        assert held._session_seq == 400
+        assert not open_ids and not live_vms and not held._bindings
+
+
 class TestNonDisclosure:
     def test_client_trace_never_contains_secrets(self, broker):
-        views = []
+        views, secrets = [], []
         for netid in ("res1", "res2"):
             session, view = open_rdp(broker, netid)
             views.append(view.to_wire())
+            secrets.append(broker.sessions.credential(session.credential_id).secret)
             broker.sessions.close_session(session.id)
             principal = authenticate(broker, netid)
-            _, view = broker.sessions.resume_session(principal, "study", "rdp", False)
+            resumed, view = broker.sessions.resume_session(principal, "study", "rdp", False)
             views.append(view.to_wire())
+            secrets.append(broker.sessions.credential(resumed.credential_id).secret)
         blob = json.dumps(views)
-        assert len(broker.sessions._credentials) == 4
-        for credential in broker.sessions._credentials.values():
-            assert credential.secret not in blob
+        assert len(set(secrets)) == 4
+        for secret in secrets:
+            assert secret not in blob
 
     def test_vm_trace_never_contains_principal(self, broker):
         session, _ = open_rdp(broker, "res1")
