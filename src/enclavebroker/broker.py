@@ -246,7 +246,8 @@ class Broker:
         self.ledger = AuditLedger(self.clock)
         self.directory = Directory(self.ledger, self.clock)
         self.policy = PolicyEngine(self.directory, self.ledger, self.clock)
-        self.enclave = Enclave(self.ledger, self.clock, self.rng)
+        self.enclave = Enclave(self.ledger, self.clock, self.rng, self.directory,
+                               self.policy)
         self.sessions = SessionBroker(
             self.directory, self.policy, self.enclave, self.ledger, self.clock,
             self.rng, retention_days=retention_days,
@@ -260,10 +261,6 @@ class Broker:
         self.directory.steward_lookup = self.policy.stewards_of
         self.directory.mode_group_delegate = self._mode_group_change
         self.policy.on_revoke = self.sessions.force_close_for
-        self.enclave.project_registry = self.policy
-        self.enclave.is_admin = self.directory.is_admin
-        self.enclave.group_exists = self.directory.has_group
-        self.enclave.whitelist_lookup = self.policy.proxy_whitelist_of
         self.enclave.on_vm_destroyed = self.sessions.handle_vm_destroyed
         self.ledger.project_exists = self.policy.has_project
 
@@ -373,7 +370,6 @@ class Broker:
                 mode=opened.mode,
                 project_id=opened.project_id,
                 authorized_modes=frozenset({opened.mode}),
-                session_id=opened.id,
             )
         return self.check_reachable(src, dst, service)
 

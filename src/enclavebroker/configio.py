@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from .broker import OPS, Broker
-from .enclave import RESEARCH_SUBNET, ZONE_IDS
+from .broker import OPS, Arg, Broker, Op, kwarg
+from .enclave import GatewayKind, RuleDirection
 from .errors import BadRequest, BrokerError, DanglingReference, ParseError, SchemaError
 from .identity import Affiliation, GroupKind
 from .ledger import AuditLedger
+from .model import AccessMode
 
 
 def _read_json(path: str | Path) -> tuple[dict, str]:
@@ -40,9 +43,66 @@ def _line_of(text: str, needle: str) -> int:
     return text.count("\n", 0, idx) + 1
 
 
-def _fail(kind, path, text, needle: str, field_name: str, message: str):
-    raise kind(f"{path}:{_line_of(text, needle)}: field {field_name!r} on {needle!r}: "
-               f"{message}")
+# The typed fields of each file, checked by the wire ops' own validator; each
+# Op is named after what it checks, for its messages. First a file's top
+# level, then one entry of each list section, with the fields in the order
+# the entry's model method takes them. An entry is located by its first field.
+_TOPOLOGY = Op("topology", Arg("services", list, ()))
+_DIRECTORY = Op("directory", Arg("admins", list, ()), Arg("issuers", list, ()),
+                Arg("subject_map", dict, None))
+_SECTIONS = {op.method: op for op in (
+    Op("zones", Arg("id"), Arg("parent", str, None)),
+    Op("gateways", Arg("id"), Arg("kind", GatewayKind, "vpn"), Arg("admits_to"),
+       Arg("mode", AccessMode, None), Arg("monitored", bool, True)),
+    Op("hosts", Arg("id"), Arg("dedicated", bool, False), Arg("cpu", int), Arg("ram", int)),
+    Op("background_vms", Arg("id"), Arg("zone"), Arg("host"), Arg("cpu", int, 1),
+       Arg("ram", int, 1)),
+    Op("exceptions", kwarg("id", str, None, "rule_id"), kwarg("service"), kwarg("src"),
+       kwarg("dst"), kwarg("direction", RuleDirection, "inbound"),
+       kwarg("documented_by", str, "")),
+    Op("users", Arg("netid"), Arg("affiliation", Affiliation, "member"),
+       Arg("sponsor", str, None), kwarg("mfa_secret", str, None), kwarg("active", bool, True)),
+    Op("groups", Arg("name"), Arg("kind", GroupKind, "role"),
+       Arg("owning_project", str, None), Arg("members", list, ())),
+    Op("subject_map", Arg("issuer"), Arg("subjects", dict)),
+)}
+
+
+def _load_error(exc: BrokerError, path, text: str, where: str) -> BrokerError:
+    """A fault found while loading, as the loader reports it: a dangling
+    reference stays one, and everything else is a schema error that keeps
+    the model's own code."""
+    kind = DanglingReference if isinstance(exc, DanglingReference) else SchemaError
+    detail = exc if isinstance(exc, (kind, BadRequest)) else f"{exc.code}: {exc}"
+    return kind(f"{path}:{_line_of(text, where)}: {where!r}: {detail}")
+
+
+def _top_level(spec: Op, path, text: str, data: dict) -> list:
+    try:
+        return spec.parse(spec.method, data)[0]
+    except BadRequest as exc:
+        raise _load_error(exc, path, text, spec.method) from None
+
+
+def _load(path, text: str, section: str, entries, call: Callable) -> None:
+    """Check each entry of ``section`` against its declared fields, then pass
+    them to ``call``, the model method or a function that calls it."""
+    spec = _SECTIONS[section]
+    key = spec.args[0].name
+    if not isinstance(entries, list):
+        raise _load_error(SchemaError(f"{section} must be a list"), path, text, section)
+    for entry in entries:
+        name = entry.get(key) if isinstance(entry, dict) else None
+        where = name if isinstance(name, str) and name else section
+        try:
+            if not isinstance(entry, dict):
+                raise SchemaError(f"each entry of {section} must be an object")
+            positional, keywords = spec.parse(section, entry)
+            if name == "":
+                raise SchemaError(f"{section}: {key!r} must not be empty")
+            call(*positional, **keywords)
+        except BrokerError as exc:
+            raise _load_error(exc, path, text, where) from None
 
 
 # -- directory -----------------------------------------------------------------
@@ -51,51 +111,34 @@ def _fail(kind, path, text, needle: str, field_name: str, message: str):
 def load_directory(broker: Broker, path: str | Path) -> None:
     data, text = _read_json(path)
     directory = broker.directory
+    admins, issuers, subject_map = _top_level(_DIRECTORY, path, text, data)
+    directory.admins.update(admins)
 
-    for netid in data.get("admins", []):
-        directory.admins.add(netid)
+    def add_user(netid, affiliation, sponsor, *, mfa_secret, active):
+        user = directory.register_user(netid, affiliation, sponsor,
+                                       mfa_secret=mfa_secret, actor="bootstrap")
+        user.active = active
 
-    for entry in data.get("users", []):
-        netid = entry.get("netid")
-        if not netid:
-            _fail(SchemaError, path, text, "users", "users[].netid", "missing netid")
-        try:
-            user = directory.register_user(
-                netid,
-                Affiliation(entry.get("affiliation", "member")),
-                entry.get("sponsor"),
-                mfa_secret=entry.get("mfa_secret"),
-                actor="bootstrap",
-            )
-        except BrokerError as exc:
-            _fail(SchemaError, path, text, netid, "users[]", str(exc))
-        if entry.get("active") is False:
-            user.active = False
-
-    for entry in data.get("groups", []):
-        name = entry.get("name")
-        if not name:
-            _fail(SchemaError, path, text, "groups", "groups[].name", "missing name")
-        kind = entry.get("kind", "role")
-        if kind == "shadow":
-            _fail(SchemaError, path, text, name, "groups[].kind",
-                  "shadow groups are broker-managed")
-        group = directory.create_group(name, GroupKind(kind), entry.get("owning_project"))
-        for member in entry.get("members", []):
+    def add_group(name, kind, owning_project, members):
+        group = directory.create_group(name, kind, owning_project)
+        for member in members:
             if not directory.has_user(member):
-                _fail(DanglingReference, path, text, name, "groups[].members",
-                      f"member {member!r} not in directory")
+                raise DanglingReference(f"member {member!r} not in directory")
             group.members.add(member)
 
-    for issuer in data.get("issuers", []):
-        directory.add_trusted_issuer(issuer)
-
-    for issuer, mapping in data.get("subject_map", {}).items():
-        for subject, netid in mapping.items():
-            if not directory.has_user(netid):
-                _fail(DanglingReference, path, text, subject, "subject_map",
-                      f"mapped netid {netid!r} not in directory")
+    def map_subjects(issuer, subjects):
+        for subject, netid in subjects.items():
+            if not isinstance(netid, str) or not directory.has_user(netid):
+                raise DanglingReference(f"mapped netid {netid!r} not in directory")
             directory.map_subject(issuer, subject, netid)
+
+    _load(path, text, "users", data.get("users", []), add_user)
+    _load(path, text, "groups", data.get("groups", []), add_group)
+    for issuer in issuers:
+        directory.add_trusted_issuer(issuer)
+    _load(path, text, "subject_map",
+          [{"issuer": issuer, "subjects": subjects}
+           for issuer, subjects in (subject_map or {}).items()], map_subjects)
 
 
 # -- topology ------------------------------------------------------------------
@@ -104,91 +147,25 @@ def load_directory(broker: Broker, path: str | Path) -> None:
 def load_topology(broker: Broker, path: str | Path) -> None:
     data, text = _read_json(path)
     enclave = broker.enclave
+    (services,) = _top_level(_TOPOLOGY, path, text, data)
 
-    zones = data.get("zones", [])
-    if not zones:
-        _fail(SchemaError, path, text, "zones", "zones", "topology declares no zones")
-    declared = {z.get("id") for z in zones}
-    for entry in zones:
-        zone_id = entry.get("id")
-        if zone_id not in ZONE_IDS:
-            _fail(SchemaError, path, text, str(zone_id), "zones[].id",
-                  f"must be one of {ZONE_IDS}")
-        parent = entry.get("parent")
-        if zone_id == RESEARCH_SUBNET and parent != "protected-vrf":
-            _fail(SchemaError, path, text, zone_id, "zones[].parent",
-                  "the research subnet must declare the protected VRF as parent")
-        if parent is not None and parent not in declared:
-            _fail(DanglingReference, path, text, zone_id, "zones[].parent",
-                  f"unknown parent {parent!r}")
-        try:
-            enclave.add_zone(zone_id, parent)
-        except BrokerError as exc:
-            _fail(SchemaError, path, text, zone_id, "zones[]", str(exc))
-
-    for entry in data.get("gateways", []):
-        gid = entry.get("id")
-        if not gid:
-            _fail(SchemaError, path, text, "gateways", "gateways[].id", "missing id")
-        if entry.get("admits_to") not in enclave.zones:
-            _fail(DanglingReference, path, text, gid, "gateways[].admits_to",
-                  f"unknown zone {entry.get('admits_to')!r}")
-        try:
-            enclave.add_gateway(gid, entry.get("kind", "vpn"), entry["admits_to"],
-                                entry.get("mode"), entry.get("monitored", True))
-        except BrokerError as exc:
-            _fail(SchemaError, path, text, gid, "gateways[]", str(exc))
-
-    for entry in data.get("hosts", []):
-        hid = entry.get("id")
-        if not hid:
-            _fail(SchemaError, path, text, "hosts", "hosts[].id", "missing id")
-        try:
-            enclave.add_host(hid, bool(entry.get("dedicated", False)),
-                             int(entry.get("cpu", 0)), int(entry.get("ram", 0)))
-        except BrokerError as exc:
-            _fail(SchemaError, path, text, hid, "hosts[]", str(exc))
-
-    for entry in data.get("background_vms", []):
-        vid = entry.get("id")
-        try:
-            enclave.add_background_vm(vid, entry.get("zone", ""), entry.get("host", ""),
-                                      int(entry.get("cpu", 1)), int(entry.get("ram", 1)))
-        except DanglingReference as exc:
-            _fail(DanglingReference, path, text, vid or "background_vms",
-                  "background_vms[]", str(exc))
-        except BrokerError as exc:
-            _fail(SchemaError, path, text, vid or "background_vms",
-                  "background_vms[]", str(exc))
-
-    for name in data.get("services", []):
+    _load(path, text, "zones", data.get("zones", []), enclave.add_zone)
+    # Only the whole file shows these two faults.
+    if not enclave.zones:
+        raise _load_error(SchemaError("topology declares no zones"), path, text, "zones")
+    for zone in enclave.zones.values():
+        if zone.parent is not None and zone.parent not in enclave.zones:
+            raise _load_error(DanglingReference(f"unknown parent {zone.parent!r}"),
+                              path, text, zone.id)
+    _load(path, text, "gateways", data.get("gateways", []), enclave.add_gateway)
+    _load(path, text, "hosts", data.get("hosts", []), enclave.add_host)
+    _load(path, text, "background_vms", data.get("background_vms", []),
+          enclave.add_background_vm)
+    for name in services:
         enclave.add_service(name)
-
-    for entry in data.get("exceptions", []):
-        rid = entry.get("id")
-        documented_by = entry.get("documented_by", "")
-        if not documented_by.strip():
-            _fail(SchemaError, path, text, rid or "exceptions",
-                  "exceptions[].documented_by", "exception rules need a justification")
-        rule = {
-            "service": entry.get("service", ""),
-            "src": entry.get("src", ""),
-            "dst": entry.get("dst", ""),
-            "direction": entry.get("direction", "inbound"),
-        }
-        if rule["service"] not in enclave.services:
-            _fail(SchemaError, path, text, rid or "exceptions", "exceptions[].service",
-                  f"unknown service {rule['service']!r}")
-        # Bootstrap rules bypass the admin check; they are part of the design.
-        was_admin = enclave.is_admin
-        enclave.is_admin = lambda netid: True
-        try:
-            enclave.register_exception("bootstrap", rule_id=rid,
-                                       documented_by=documented_by, **rule)
-        except BrokerError as exc:
-            _fail(SchemaError, path, text, rid or "exceptions", "exceptions[]", str(exc))
-        finally:
-            enclave.is_admin = was_admin
+    # A topology's rules are part of the design, so no administrator adds them.
+    _load(path, text, "exceptions", data.get("exceptions", []),
+          partial(enclave.add_exception, "bootstrap"))
 
 
 # -- scenarios -------------------------------------------------------------------

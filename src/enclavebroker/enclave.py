@@ -34,14 +34,15 @@ from .errors import (
     UndocumentedRule,
     UnknownEndpoint,
     UnknownGroup,
-    UnknownProject,
     UnknownService,
     UnknownShare,
     VmDestroyed,
     VmNotRunning,
 )
+from .identity import Directory
 from .ledger import AuditLedger
 from .model import AccessMode, Decision, allow, deny
+from .policy import PolicyEngine
 
 INTERNET = "internet"
 CAMPUS = "campus"
@@ -108,7 +109,6 @@ class HypervisorHost:
     dedicated_to_enclave: bool
     cpu: int
     ram: int
-    resident_vms: set[str] = field(default_factory=set)
     used_cpu: int = 0
     used_ram: int = 0
 
@@ -183,7 +183,6 @@ class AccessContext:
     mode: AccessMode
     project_id: str
     authorized_modes: frozenset[AccessMode]
-    session_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -198,10 +197,13 @@ class _Endpoint:
 class Enclave:
     """Topology plus the VM and share lifecycle over it."""
 
-    def __init__(self, ledger: AuditLedger, clock: SimClock, rng):
+    def __init__(self, ledger: AuditLedger, clock: SimClock, rng,
+                 directory: Directory, policy: PolicyEngine):
         self._ledger = ledger
         self._clock = clock
         self._rng = rng
+        self._directory = directory
+        self._policy = policy
         self.zones: dict[str, Zone] = {}
         self.gateways: dict[str, Gateway] = {}
         self.hosts: dict[str, HypervisorHost] = {}
@@ -212,11 +214,7 @@ class Enclave:
         self._vm_seq = 0
         self._share_seq = 0
         self._rule_seq = 0
-        # Wired by the broker facade.
-        self.project_registry = None  # duck-typed: get_project / has_project
-        self.is_admin: Callable[[str], bool] = lambda netid: False
-        self.group_exists: Callable[[str], bool] = lambda name: True
-        self.whitelist_lookup: Callable[[str], set[str]] = lambda pid: set()
+        # Wired by the broker facade: the session broker is built after us.
         self.on_vm_destroyed: Callable[[str], None] = lambda vm_id: None
 
     # -- topology construction -------------------------------------------------
@@ -235,10 +233,10 @@ class Enclave:
 
     def add_gateway(self, gateway_id: str, kind: GatewayKind | str, admits_to: str,
                     required_mode: AccessMode | str | None, monitored: bool = True) -> Gateway:
-        if not monitored:
-            raise SchemaError(f"gateway {gateway_id} must be monitored")
         if admits_to not in self.zones:
             raise DanglingReference(f"gateway {gateway_id} admits to unknown zone {admits_to!r}")
+        if not monitored:
+            raise SchemaError(f"gateway {gateway_id} must be monitored")
         kind = GatewayKind(kind)
         mode = AccessMode(required_mode) if required_mode is not None else None
         if kind is GatewayKind.SSH and mode is not None:
@@ -273,7 +271,6 @@ class Enclave:
         vm = VirtualMachine(vm_id, project_id="", zone=zone, host_id=host_id,
                             cpu=cpu, ram=ram, disk=self._fresh_disk())
         self.vms[vm_id] = vm
-        host.resident_vms.add(vm_id)
         host.used_cpu += cpu
         host.used_ram += ram
         return vm
@@ -284,8 +281,17 @@ class Enclave:
     def register_exception(self, actor: str, *, service: str, src: str, dst: str,
                            direction: RuleDirection | str, documented_by: str,
                            rule_id: str | None = None) -> str:
-        if not self.is_admin(actor):
+        if not self._directory.is_admin(actor):
             raise Unauthorized(f"{actor} is not a platform administrator")
+        return self.add_exception(actor, service=service, src=src, dst=dst,
+                                  direction=direction, documented_by=documented_by,
+                                  rule_id=rule_id)
+
+    def add_exception(self, actor: str, *, service: str, src: str, dst: str,
+                      direction: RuleDirection | str, documented_by: str,
+                      rule_id: str | None = None) -> str:
+        """Register a documented exception rule without the administrator
+        check: topology files declare their rules this way."""
         if not documented_by or not documented_by.strip():
             raise UndocumentedRule("exception rules need a documented justification")
         if service not in self.services:
@@ -310,14 +316,9 @@ class Enclave:
     def _fresh_disk(self) -> str:
         return f"disk-{self._rng.getrandbits(64):016x}"
 
-    def _project(self, project_id: str):
-        if self.project_registry is None or not self.project_registry.has_project(project_id):
-            raise UnknownProject(project_id)
-        return self.project_registry.get_project(project_id)
-
     def provision_vm(self, project_id: str, zone: str, cpu: int, ram: int,
                      dedicated: bool = False) -> VirtualMachine:
-        project = self._project(project_id)
+        self._policy.get_project(project_id)
         if cpu <= 0 or ram <= 0:
             raise InvalidSpec(f"cpu={cpu} ram={ram}")
         if zone not in ENCLAVE_ZONES:
@@ -344,10 +345,8 @@ class Enclave:
             disk=self._fresh_disk(),
         )
         self.vms[vm.id] = vm
-        host.resident_vms.add(vm.id)
         host.used_cpu += cpu
         host.used_ram += ram
-        project.hosts.add(vm.id)
         self._ledger.append("broker", "provision", vm.id, {
             "project": project_id,
             "vm": vm.id,
@@ -395,7 +394,6 @@ class Enclave:
         vm.state = VmState.DESTROYED
         vm.disk = None
         host = self.hosts[vm.host_id]
-        host.resident_vms.discard(vm_id)
         host.used_cpu -= vm.cpu
         host.used_ram -= vm.ram
         self._ledger.append("broker", "destroy", vm_id, {
@@ -423,7 +421,7 @@ class Enclave:
     def create_share(self, project_id: str, protocol: str, capacity_tb: float,
                      dedicated_device: bool = False,
                      encrypted_at_rest: bool = False) -> StorageShare:
-        project = self._project(project_id)
+        project = self._policy.get_project(project_id)
         protocol = protocol.lower()
         if protocol == "nfs":
             raise ProtocolForbidden("nfs is not acceptable inside the enclave")
@@ -464,12 +462,12 @@ class Enclave:
 
     def set_share_acl(self, actor: str, share_id: str, groups: list[str] | set[str]) -> StorageShare:
         share = self.share(share_id)
-        project = self._project(share.project_id)
-        if actor not in project.stewards and not self.is_admin(actor):
+        project = self._policy.get_project(share.project_id)
+        if actor not in project.stewards and not self._directory.is_admin(actor):
             raise Unauthorized(f"{actor} is not a steward of {share.project_id}")
         groups = set(groups)
         for name in sorted(groups):
-            if not self.group_exists(name):
+            if not self._directory.has_group(name):
                 raise UnknownGroup(name)
         share.acl_groups = groups
         self._ledger.append(actor, "acl-set", share_id, {
@@ -545,7 +543,7 @@ class Enclave:
                              [src_label, f"exception:{rule.id}", dst_ep.id])
             if (dst_ep.kind == "origin" and service in ("http", "https")
                     and effective_project is not None
-                    and dst_ep.id in self.whitelist_lookup(effective_project)):
+                    and dst_ep.id in self._policy.proxy_whitelist_of(effective_project)):
                 return allow("proxy-whitelist", [src_label, "proxy", dst_ep.id])
             return deny("minimal-egress")
 
@@ -608,11 +606,11 @@ class Enclave:
     # -- proxy ----------------------------------------------------------------------
 
     def proxy_fetch(self, project_id: str, url: str) -> Decision:
-        self._project(project_id)
+        self._policy.get_project(project_id)
         ep = self._resolve_endpoint(url)
         if ep is None or ep.kind != "origin":
             raise UnknownEndpoint(url)
-        allowed = ep.id in self.whitelist_lookup(project_id)
+        allowed = ep.id in self._policy.proxy_whitelist_of(project_id)
         decision = (allow("proxy-whitelist", ["proxy", ep.id]) if allowed
                     else deny("proxy-denied"))
         self._ledger.append("broker", "proxy-fetch", project_id, {

@@ -39,7 +39,6 @@ class Project:
     vpn_group: str
     rdp_group: str
     role_rules: set[str] = field(default_factory=set)
-    hosts: set[str] = field(default_factory=set)
     shares: set[str] = field(default_factory=set)
     zone: str = PROTECTED_VRF
     brokers: set[str] = field(default_factory=set)

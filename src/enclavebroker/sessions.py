@@ -287,9 +287,9 @@ class SessionBroker:
             # ownership on the disk stays coherent; only the secret is new.
             arbitrary = self._vm_users[vm.id]
 
-        authorized = frozenset(self._policy.authorize_mode(principal, project_id))
+        # check_access admitted this mode above, and no grant changed since.
         ctx = AccessContext(src_zone=src_zone, mode=mode, project_id=project_id,
-                            authorized_modes=authorized)
+                            authorized_modes=frozenset({mode}))
         path = self._enclave.is_reachable(ctx, vm.id, service)
         if not path.allowed:
             if not reused:

@@ -356,8 +356,6 @@ class TestProxy:
         with pytest.raises(SchemaError):
             broker.enclave.add_background_vm("bg-1", "campus", "host-b", 2, 4)
         broker.enclave.add_background_vm("bg-2", "campus", "host-a", 2, 4)
-        for host in broker.enclave.hosts.values():
-            if host.dedicated_to_enclave:
-                for vm_id in host.resident_vms:
-                    assert broker.enclave.vms[vm_id].zone in ("protected-vrf",
-                                                              "research-subnet")
+        for vm in broker.enclave.vms.values():
+            if broker.enclave.hosts[vm.host_id].dedicated_to_enclave:
+                assert vm.zone in ("protected-vrf", "research-subnet")

@@ -7,7 +7,6 @@ import random
 
 from enclavebroker.clock import SimClock
 from enclavebroker.enclave import AccessContext, Enclave
-from enclavebroker.errors import UnknownProject
 from enclavebroker.ledger import AuditLedger
 from enclavebroker.model import AccessMode, Tier
 from enclavebroker.policy import Project
@@ -27,26 +26,32 @@ WHITELISTED = "https://data.example.org"
 UNLISTED = "https://other.example.net"
 
 
-class StubProjects:
+class StubDirectory:
+    """Everyone administers, and every group exists."""
+
+    def is_admin(self, netid: str) -> bool:
+        return True
+
+    def has_group(self, name: str) -> bool:
+        return True
+
+
+class StubPolicy:
     def __init__(self, projects: list[Project]):
         self._projects = {p.id: p for p in projects}
 
-    def has_project(self, pid: str) -> bool:
-        return pid in self._projects
-
     def get_project(self, pid: str) -> Project:
-        if pid not in self._projects:
-            raise UnknownProject(pid)
         return self._projects[pid]
+
+    def proxy_whitelist_of(self, pid: str) -> set[str]:
+        return self._projects[pid].proxy_whitelist
 
 
 def random_topology(rng: random.Random) -> tuple[Enclave, OracleTopology, list[OracleQuery]]:
     clock = SimClock(0)
-    enclave = Enclave(AuditLedger(clock), clock, random.Random(rng.getrandbits(32)))
-    enclave.is_admin = lambda netid: True
-    for zone in ZONES:
-        enclave.add_zone(zone, "protected-vrf" if zone == "research-subnet" else None)
-
+    # The enclave's seed is drawn before the projects' zones, so each seed
+    # keeps giving the same topology.
+    enclave_rng = random.Random(rng.getrandbits(32))
     projects = [
         Project(id="p1", classification=Tier.SENSITIVE, stewards={"stw"},
                 vpn_group="p1-vpn", rdp_group="p1-rdp",
@@ -56,9 +61,11 @@ def random_topology(rng: random.Random) -> tuple[Enclave, OracleTopology, list[O
                 vpn_group="p2-vpn", rdp_group="p2-rdp",
                 zone=rng.choice(ENCLAVE_ZONES)),
     ]
-    enclave.project_registry = StubProjects(projects)
+    enclave = Enclave(AuditLedger(clock), clock, enclave_rng, StubDirectory(),
+                      StubPolicy(projects))
+    for zone in ZONES:
+        enclave.add_zone(zone, "protected-vrf" if zone == "research-subnet" else None)
     whitelists = {"p1": {WHITELISTED}, "p2": set()}
-    enclave.whitelist_lookup = lambda pid: whitelists.get(pid, set())
 
     oracle_gateways: list[OracleGateway] = []
     for i in range(rng.randint(1, 3)):
