@@ -24,6 +24,7 @@ from .errors import (
     AlreadyDestroyed,
     ContentDestroyed,
     DanglingReference,
+    DuplicateId,
     InvalidSpec,
     IsolationRequired,
     NoCapacity,
@@ -194,6 +195,11 @@ class _Endpoint:
     share_protocol: str | None = None
 
 
+def _check_new(table: dict, kind: str, entry_id: str) -> None:
+    if entry_id in table:
+        raise DuplicateId(f"{kind} {entry_id!r} already exists")
+
+
 class Enclave:
     """Topology plus the VM and share lifecycle over it."""
 
@@ -227,12 +233,14 @@ class Enclave:
                 raise SchemaError("the research subnet must nest inside the protected VRF")
         elif parent is not None:
             raise SchemaError(f"zone {zone_id} cannot have a parent")
+        _check_new(self.zones, "zone", zone_id)
         zone = Zone(zone_id, parent)
         self.zones[zone_id] = zone
         return zone
 
     def add_gateway(self, gateway_id: str, kind: GatewayKind | str, admits_to: str,
                     required_mode: AccessMode | str | None, monitored: bool = True) -> Gateway:
+        _check_new(self.gateways, "gateway", gateway_id)
         if admits_to not in self.zones:
             raise DanglingReference(f"gateway {gateway_id} admits to unknown zone {admits_to!r}")
         if not monitored:
@@ -248,6 +256,7 @@ class Enclave:
         return gateway
 
     def add_host(self, host_id: str, dedicated: bool, cpu: int, ram: int) -> HypervisorHost:
+        _check_new(self.hosts, "host", host_id)
         if cpu <= 0 or ram <= 0:
             raise SchemaError(f"host {host_id} capacity must be positive")
         host = HypervisorHost(host_id, dedicated, cpu, ram)
@@ -257,6 +266,7 @@ class Enclave:
     def add_background_vm(self, vm_id: str, zone: str, host_id: str,
                           cpu: int, ram: int) -> VirtualMachine:
         """Pre-existing non-project VM declared by the topology (shared tenancy)."""
+        _check_new(self.vms, "vm", vm_id)
         host = self.hosts.get(host_id)
         if host is None:
             raise DanglingReference(f"vm {vm_id} references unknown host {host_id!r}")
@@ -297,8 +307,11 @@ class Enclave:
         if service not in self.services:
             raise UnknownService(service)
         if rule_id is None:
-            self._rule_seq += 1
-            rule_id = f"exc-{self._rule_seq:04d}"
+            # The next free number: a declared rule may already hold one.
+            while rule_id is None or rule_id in self.exceptions:
+                self._rule_seq += 1
+                rule_id = f"exc-{self._rule_seq:04d}"
+        _check_new(self.exceptions, "exception rule", rule_id)
         rule = ExceptionRule(rule_id, service, src, dst, RuleDirection(direction),
                              documented_by.strip())
         self.exceptions[rule_id] = rule

@@ -142,6 +142,13 @@ class UndocumentedRule(BrokerError):
     code = "undocumented-rule"
 
 
+class DuplicateId(BrokerError):
+    """A zone, gateway, host, VM or exception rule declared under an id that
+    is already taken; the earlier entry is never replaced."""
+
+    code = "duplicate-id"
+
+
 # -- sessions ------------------------------------------------------------
 
 class UnmanagedEndpoint(BrokerError):

@@ -253,6 +253,8 @@ class Directory:
         kind = GroupKind(kind)
         if kind is GroupKind.SHADOW:
             raise ShadowGroupImmutable("shadow groups are broker-managed")
+        # An existing name is no error: the group is returned as it stands.
+        # `PolicyEngine.register_project` relies on that for its access groups.
         if name in self._groups:
             return self._groups[name]
         group = Group(name=name, kind=kind, owning_project=owning_project)

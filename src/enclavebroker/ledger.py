@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Callable
 
 from .clock import SimClock
@@ -66,6 +69,8 @@ ACTIONS = frozenset(
         "retention-expire",
     }
 )
+
+_AT = attrgetter("at")
 
 EXPORT_FIELDS = ("seq", "at", "actor", "action", "object", "detail", "prev_hash", "this_hash")
 
@@ -127,6 +132,13 @@ def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
     return json.dumps(record, separators=(",", ":"))
 
 
+def _period(events: list[AuditEvent], start: int, end: int) -> tuple[int, int]:
+    """The slice [lo, hi) of time-ordered events with start <= at <= end;
+    lo == hi when none is, the period being inverted included."""
+    lo = bisect_left(events, start, key=_AT)
+    return lo, bisect_right(events, end, lo, key=_AT)
+
+
 @dataclass
 class ComplianceReport:
     """Per-project activity counts recomputed purely from ledger events."""
@@ -176,9 +188,12 @@ class AuditLedger:
         self._events: list[AuditEvent] = []
         self._last_hash = GENESIS_HASH
         # Indices hold the events themselves, so a lookup touches only the
-        # events it returns, and a report only its project's events.
+        # events it returns. Reports read project -> action -> events in seq
+        # order; ledger time never decreases, so each list is sorted by `at`
+        # and a report finds its period by bisection.
         self._by_session: dict[str, list[AuditEvent]] = {}
-        self._by_project: dict[str, list[AuditEvent]] = {}
+        self._by_project: defaultdict[str, defaultdict[str, list[AuditEvent]]] = (
+            defaultdict(lambda: defaultdict(list)))
         self._affiliates: set[str] = set()
         self._spans: dict[str, list[_MappingSpan]] = {}
         self._span_by_session: dict[str, _MappingSpan] = {}
@@ -214,7 +229,7 @@ class AuditLedger:
             self._by_session.setdefault(sid, []).append(event)
         project = event.detail.get("project")
         if project is not None:
-            self._by_project.setdefault(project, []).append(event)
+            self._by_project[project][event.action].append(event)
         if (event.action == "register" and event.detail.get("affiliation") == "affiliate"
                 and "netid" in event.detail):
             self._affiliates.add(event.detail["netid"])
@@ -293,33 +308,33 @@ class AuditLedger:
             raise UnknownProject(project_id)
         if period_end is None:
             period_end = self._clock.now
-        project_events = self._by_project.get(project_id, [])
-        of_project = [e for e in project_events if period_start <= e.at <= period_end]
+        by_action = self._by_project.get(project_id, {})
+
+        def in_period(action: str) -> list[AuditEvent]:
+            events = by_action.get(action, [])
+            lo, hi = _period(events, period_start, period_end)
+            return events[lo:hi]
+
+        def count(action: str) -> int:
+            lo, hi = _period(by_action.get(action, []), period_start, period_end)
+            return hi - lo
 
         sessions_by_mode: dict[str, int] = {"vpn": 0, "rdp": 0}
-        for e in of_project:
-            if e.action == "map":
-                mode = e.detail.get("mode", "")
-                sessions_by_mode[mode] = sessions_by_mode.get(mode, 0) + 1
-        egress_allowed = sum(1 for e in of_project if e.action == "egress-allow")
-        egress_denied = sum(1 for e in of_project if e.action == "egress-deny")
-        traversals = sum(
-            1 for e in of_project
-            if e.action == "traverse" and e.detail.get("via", "").startswith("exception")
-        )
-        grants = sum(1 for e in of_project if e.action == "grant")
-        revokes = sum(1 for e in of_project if e.action == "revoke")
+        sessioned: set[str] = set()
+        for e in in_period("map"):
+            mode = e.detail.get("mode", "")
+            sessions_by_mode[mode] = sessions_by_mode.get(mode, 0) + 1
+            if "vm" in e.detail:
+                sessioned.add(e.detail["vm"])
+        traversals = sum(1 for e in in_period("traverse")
+                         if e.detail.get("via", "").startswith("exception"))
 
         # A VM that existed during the period but hosted no session is flagged
         # so its allocation can be questioned.
-        provisioned: dict[str, int] = {}
+        provisioned = {e.object: e.at for e in by_action.get("provision", ())}
         destroyed: dict[str, int] = {}
-        for e in project_events:
-            if e.action == "provision":
-                provisioned[e.object] = e.at
-            elif e.action == "destroy":
-                destroyed.setdefault(e.object, e.at)
-        sessioned = {e.detail["vm"] for e in of_project if e.action == "map" and "vm" in e.detail}
+        for e in by_action.get("destroy", ()):
+            destroyed.setdefault(e.object, e.at)
         flags = sorted(
             vm for vm, born in provisioned.items()
             if born <= period_end
@@ -328,13 +343,9 @@ class AuditLedger:
         )
 
         # Affiliates acting as stewards are permitted but surfaced for review.
-        steward_lists = [
-            e.detail.get("stewards", "") for e in project_events
-            if e.action == "project-create"
-        ]
         stewards: set[str] = set()
-        for entry in steward_lists:
-            stewards.update(s for s in entry.split(",") if s)
+        for e in by_action.get("project-create", ()):
+            stewards.update(s for s in e.detail.get("stewards", "").split(",") if s)
         affiliate_stewards = sorted(stewards & self._affiliates)
 
         return ComplianceReport(
@@ -342,11 +353,11 @@ class AuditLedger:
             period_start=period_start,
             period_end=period_end,
             sessions_by_mode=sessions_by_mode,
-            egress_allowed=egress_allowed,
-            egress_denied=egress_denied,
+            egress_allowed=count("egress-allow"),
+            egress_denied=count("egress-deny"),
             exception_traversals=traversals,
-            grants=grants,
-            revokes=revokes,
+            grants=count("grant"),
+            revokes=count("revoke"),
             efficiency_flags=flags,
             affiliate_stewards=affiliate_stewards,
         )

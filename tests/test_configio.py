@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from enclavebroker import loadgen
+from enclavebroker import Broker, loadgen
 from enclavebroker.cli import main
-from enclavebroker.configio import build_broker
+from enclavebroker.configio import build_broker, load_topology
 from enclavebroker.errors import DanglingReference, SchemaError
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -66,6 +66,16 @@ def _group(**fields):
     return lambda d: d["groups"].append(entry)
 
 
+# A second topology entry under an id already taken.
+DUPLICATE_IDS = {
+    "duplicate-zone": lambda t: t["zones"].append({"id": "campus"}),
+    "duplicate-gateway": _gateway(id="gw-vrf-vpn"),
+    "duplicate-host": lambda t: t["hosts"].append({"id": "host-shared", "dedicated": False,
+                                                   "cpu": 1024, "ram": 4096}),
+    "duplicate-background-vm": _background_vm(id="bg-campus-web"),
+    "duplicate-exception": _exception(id="exc-patching", service="ssh", src="internet"),
+}
+
 # One broken rule per case, and the error class that reports it.
 SINGLE_FAULTS = {
     "unknown-zone-id": ("topology", lambda t: t["zones"].append({"id": "moonbase"}),
@@ -92,6 +102,7 @@ SINGLE_FAULTS = {
                                         SchemaError),
     "undocumented-rule": ("topology", _exception(documented_by="  "), SchemaError),
     "unknown-service": ("topology", _exception(service="gopher"), SchemaError),
+    **{case: ("topology", edit, SchemaError) for case, edit in DUPLICATE_IDS.items()},
     "duplicate-netid": ("directory", _user({"netid": "res1"}), SchemaError),
     "affiliate-without-sponsor": ("directory",
                                   _user({"netid": "bob-aff", "affiliation": "affiliate"}),
@@ -112,6 +123,26 @@ def test_each_broken_rule_gets_its_error_class(tmp_path, case):
         build_broker(topo, directory)
     assert type(err.value) is expected
     assert ("topo.json" if which == "topology" else "dir.json") in str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_IDS))
+def test_duplicate_id_in_a_file_is_a_schema_error(tmp_path, capsys, case):
+    topo, directory = _files(tmp_path, "topology", DUPLICATE_IDS[case])
+    code = main(["init", "--topology", str(topo), "--directory", str(directory)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "duplicate-id" in err
+    assert "Traceback" not in err
+
+
+def test_duplicate_rule_in_a_file_adds_no_second_event(tmp_path):
+    topo, directory = _files(tmp_path, "topology", _exception(id="exc-patching"))
+    broker = Broker()
+    with pytest.raises(SchemaError):
+        load_topology(broker, topo)
+    assert [e.object for e in broker.ledger.events if e.action == "exception-add"] == [
+        "exc-patching"]
+    assert broker.enclave.exceptions["exc-patching"].service == "patching"
 
 
 def _set(section: str, index: int, **fields):

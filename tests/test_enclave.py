@@ -6,6 +6,7 @@ from enclavebroker.enclave import AccessContext, VmState
 from enclavebroker.errors import (
     AlreadyDestroyed,
     ContentDestroyed,
+    DuplicateId,
     InvalidSpec,
     IsolationRequired,
     NoCapacity,
@@ -186,6 +187,85 @@ class TestExceptions:
             "admin1", service="ssh", src="campus", dst=vm.id,
             direction="inbound", documented_by="approved ssh path for study")
         assert broker.enclave.is_reachable("campus", vm.id, "ssh").allowed
+
+
+    def _rule(self, broker, rule_id=None, **fields):
+        args = {"service": "ssh", "src": "campus", "dst": "research-subnet",
+                "direction": "inbound", "documented_by": "approved ssh path"}
+        args.update(fields)
+        return broker.enclave.register_exception("admin1", rule_id=rule_id, **args)
+
+    def test_duplicate_rule_id_rejected_without_an_event(self, broker):
+        self._rule(broker, "exc-patching", service="patching", src="management")
+        events = len(broker.ledger)
+        with pytest.raises(DuplicateId):
+            self._rule(broker, "exc-patching", src="internet")
+        rule = broker.enclave.exceptions["exc-patching"]
+        assert (rule.service, rule.src) == ("patching", "management")
+        assert len(broker.ledger) == events
+
+    def test_wire_client_cannot_overwrite_a_rule(self, broker):
+        self._rule(broker, "exc-patching", service="patching", src="management")
+        events = len(broker.ledger)
+        with pytest.raises(DuplicateId) as err:
+            broker.op("register_exception", {
+                "actor": "admin1", "id": "exc-patching", "service": "ssh",
+                "src": "internet", "dst": "research-subnet", "documented_by": "x"})
+        assert err.value.code == "duplicate-id"
+        assert broker.enclave.exceptions["exc-patching"].service == "patching"
+        assert len(broker.ledger) == events
+
+    def test_auto_rule_ids_skip_taken_ones(self, broker):
+        self._rule(broker, "exc-0001")
+        self._rule(broker, "exc-0003")
+        assert [self._rule(broker) for _ in range(3)] == ["exc-0002", "exc-0004", "exc-0005"]
+
+    def test_overlapping_rules_lowest_id_wins(self, broker):
+        """Several rules admit the same flow: the verdict names the rule
+        with the lowest id, whatever order they were registered in."""
+        vm = broker.enclave.provision_vm("study", "research-subnet", 4, 16)
+        self._rule(broker, "exc-zone", dst="research-subnet")
+        self._rule(broker, "exc-other-service", service="https", dst=vm.id)
+        self._rule(broker, "exc-outbound", direction="outbound", dst=vm.id)
+        self._rule(broker, "exc-vm", dst=vm.id)
+        self._rule(broker, "exc-campus-zone", dst=vm.id)
+        decision = broker.enclave.is_reachable("campus", vm.id, "ssh")
+        assert decision.allowed
+        assert decision.reason == "exception:exc-campus-zone"
+        assert decision.path == ["campus", "exception:exc-campus-zone", vm.id]
+        # Without the lowest matching id the next one by id order wins.
+        del broker.enclave.exceptions["exc-campus-zone"]
+        assert broker.enclave.is_reachable("campus", vm.id, "ssh").reason == "exception:exc-vm"
+        del broker.enclave.exceptions["exc-vm"]
+        assert broker.enclave.is_reachable("campus", vm.id, "ssh").reason == "exception:exc-zone"
+
+
+class TestDuplicateIds:
+    """No topology entry is ever replaced by a later one with the same id."""
+
+    def test_zone(self, broker):
+        with pytest.raises(DuplicateId):
+            broker.enclave.add_zone("campus")
+
+    def test_gateway(self, broker):
+        before = broker.enclave.gateways["gw-research-jump"]
+        with pytest.raises(DuplicateId):
+            broker.enclave.add_gateway("gw-research-jump", "vpn", "protected-vrf", "vpn")
+        assert broker.enclave.gateways["gw-research-jump"] is before
+
+    def test_host(self, broker):
+        vm = broker.enclave.provision_vm("study", "research-subnet", 4, 16)
+        host = broker.enclave.hosts[vm.host_id]
+        with pytest.raises(DuplicateId):
+            broker.enclave.add_host(vm.host_id, False, 1024, 4096)
+        assert broker.enclave.hosts[vm.host_id] is host
+        assert host.used_cpu == 4
+
+    def test_background_vm(self, broker):
+        broker.enclave.add_background_vm("bg-web", "campus", "host-a", 2, 4)
+        with pytest.raises(DuplicateId):
+            broker.enclave.add_background_vm("bg-web", "campus", "host-a", 2, 4)
+        assert broker.enclave.hosts["host-a"].used_cpu == 2
 
 
 class TestReachability:

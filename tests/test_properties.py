@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import random
 
 import pytest
@@ -9,14 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from enclavebroker.configio import build_broker
 from enclavebroker.errors import BrokerError, ContentDestroyed, UntrustedIssuer
 from enclavebroker.identity import FederatedAssertion
 from enclavebroker.ledger import AuditEvent, event_hash
+from enclavebroker.loadgen import build_directory, build_scenario, build_topology
 from enclavebroker.model import AccessMode
 from enclavebroker.sessions import DAY, AuthOutcome
 
 from conftest import authenticate, make_broker
-from oracles import bfs_reachable
+from oracles import bfs_reachable, recount_report
 from topogen import engine_answer, random_topology
 
 
@@ -293,3 +296,77 @@ def test_state_persistence_across_resume_traces():
         broker.enclave.write_disk(session.vm_id, token)
         broker.sessions.close_session(session.id)
         broker.clock.advance(rng.randint(1, 5) * DAY)
+
+
+@pytest.fixture(scope="module")
+def replayed_history(tmp_path_factory):
+    """A 400-session loadgen replay (hosts sized as in the live-state soak)
+    with a project stewarded by an affiliate created halfway through.
+    Returns the broker, its export lines, the parsed events, the project
+    ids and the distinct event times."""
+    scenario = build_scenario(seed=5, sessions_target=400)
+    steps = scenario["steps"]
+    half = len(steps) // 2
+    steps[half:half] = [
+        {"op": "register_user", "args": {"netid": "aff-1", "affiliation": "affiliate",
+                                         "sponsor": "stw000"}},
+        {"op": "register_project", "args": {"actor": "admin1", "id": "proj-aff",
+                                            "classification": "sensitive",
+                                            "stewards": ["aff-1", "stw001"]}},
+    ]
+    tmp = tmp_path_factory.mktemp("history")
+    topology = tmp / "topology.json"
+    topology.write_text(json.dumps(build_topology(host_cpu=1024, host_ram=4096)))
+    directory = tmp / "directory.json"
+    directory.write_text(json.dumps(build_directory()))
+    broker = build_broker(topology, directory, seed=scenario["seed"],
+                          start_time=scenario["clock"])
+    for step in steps:
+        broker.op(step["op"], step["args"])
+    lines = broker.ledger.export_lines()
+    events = [json.loads(line) for line in lines]
+    projects = sorted(p.id for p in broker.policy.projects())
+    return broker, lines, events, projects, sorted({e["at"] for e in events})
+
+
+def _affiliate_stewards(events: list[dict], project: str) -> list[str]:
+    affiliates = {e["detail"]["netid"] for e in events
+                  if e["action"] == "register" and e["detail"]["affiliation"] == "affiliate"}
+    stewards = {s for e in events
+                if e["action"] == "project-create" and e["detail"]["project"] == project
+                for s in e["detail"]["stewards"].split(",") if s}
+    return sorted(stewards & affiliates)
+
+
+def test_ledger_time_never_decreases_along_the_export(replayed_history):
+    """Reports find their period by bisecting per-action event lists on
+    `at`, which holds only while ledger time never goes backwards."""
+    broker, _, events, _, times = replayed_history
+    at = [e["at"] for e in events]
+    assert all(a <= b for a, b in zip(at, at[1:]))
+    assert len(times) > 10    # the replay advanced the clock several times
+    assert broker.ledger.compliance_report("proj-aff", 0).affiliate_stewards == ["aff-1"]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_compliance_report_matches_recount_on_any_window(replayed_history, data):
+    broker, lines, events, projects, times = replayed_history
+    project = data.draw(st.sampled_from(projects), label="project")
+    # Window ends near the project's own event times, where an off-by-one
+    # at a bound shows; many events share one time.
+    own = sorted({e["at"] for e in events if e["detail"].get("project") == project})
+    near = st.builds(operator.add, st.sampled_from(own), st.sampled_from((-1, 0, 1)))
+    start, end = data.draw(st.one_of(
+        st.tuples(near, near),                                    # either order
+        st.tuples(near, near).map(lambda w: (max(w), min(w) - 1)),  # inverted
+        near.map(lambda t: (t, t)),                               # one instant
+        st.sampled_from(times).map(lambda t: (t + 1, t + DAY - 1)),  # a gap: no events
+        st.sampled_from([(times[0] - 10, times[0] - 1),           # before the history
+                         (times[-1] + 1, times[-1] + 10),         # after it
+                         (times[0] - 1, times[-1] + 1)]),         # all of it
+    ), label="window")
+    report = broker.ledger.compliance_report(project, start, end).to_wire()
+    expected = recount_report(lines, project, start, end)
+    assert {key: report[key] for key in expected} == expected
+    assert report["affiliate_stewards"] == _affiliate_stewards(events, project)
