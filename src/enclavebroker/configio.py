@@ -203,7 +203,7 @@ def build_broker(topology_path: str | Path, directory_path: str | Path, *,
 # -- scenario execution ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     index: int
     op: str

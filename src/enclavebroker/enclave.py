@@ -347,9 +347,13 @@ class Enclave:
         host = next((h for h in candidates if h.fits(cpu, ram)), None)
         if host is None:
             raise NoCapacity(f"no {'dedicated' if dedicated else 'shared'} host fits {cpu}c/{ram}g")
-        self._vm_seq += 1
+        # The next free number: a background VM may already hold one.
+        vm_id = None
+        while vm_id is None or vm_id in self.vms:
+            self._vm_seq += 1
+            vm_id = f"vm-{self._vm_seq:04d}"
         vm = VirtualMachine(
-            id=f"vm-{self._vm_seq:04d}",
+            id=vm_id,
             project_id=project_id,
             zone=zone,
             host_id=host.id,

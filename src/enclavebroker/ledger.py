@@ -12,10 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from typing import Callable
 
 from .clock import SimClock
@@ -69,8 +67,6 @@ ACTIONS = frozenset(
         "retention-expire",
     }
 )
-
-_AT = attrgetter("at")
 
 EXPORT_FIELDS = ("seq", "at", "actor", "action", "object", "detail", "prev_hash", "this_hash")
 
@@ -132,11 +128,17 @@ def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
     return json.dumps(record, separators=(",", ":"))
 
 
-def _period(events: list[AuditEvent], start: int, end: int) -> tuple[int, int]:
-    """The slice [lo, hi) of time-ordered events with start <= at <= end;
-    lo == hi when none is, the period being inverted included."""
-    lo = bisect_left(events, start, key=_AT)
-    return lo, bisect_right(events, end, lo, key=_AT)
+def _count(times: list[int], start: int, end: int) -> int:
+    """How many of the sorted times fall in [start, end]; 0 when the period
+    is inverted."""
+    lo = bisect_left(times, start)
+    return bisect_right(times, end, lo) - lo
+
+
+def _any(times: list[int], start: int, end: int) -> bool:
+    """Whether any of the sorted times falls in [start, end]."""
+    i = bisect_left(times, start)
+    return i < len(times) and times[i] <= end
 
 
 @dataclass
@@ -171,7 +173,27 @@ class ComplianceReport:
         }
 
 
-@dataclass
+# Actions a report only counts: their times are all it reads of them.
+_COUNTED = frozenset({"egress-allow", "egress-deny", "grant", "revoke"})
+# Every action a report reads anything of.
+_REPORTED = _COUNTED | {"map", "traverse", "provision", "destroy", "project-create"}
+
+
+@dataclass(slots=True)
+class _ProjectTimes:
+    """What a compliance report reads of one project's events: times in
+    ledger order, which is time order, so a report bisects instead of scans."""
+
+    counted: dict[str, list[int]] = field(default_factory=dict)  # action -> times
+    maps_by_mode: dict[str, list[int]] = field(default_factory=dict)
+    maps_by_vm: dict[str, list[int]] = field(default_factory=dict)
+    exception_traversals: list[int] = field(default_factory=list)
+    provisioned: dict[str, int] = field(default_factory=dict)  # vm -> last provision
+    destroyed: dict[str, int] = field(default_factory=dict)    # vm -> first destroy
+    stewards: set[str] = field(default_factory=set)
+
+
+@dataclass(slots=True)
 class _MappingSpan:
     # One arbitrary-user tenure: from the session's map event until its close.
     session_id: str
@@ -187,13 +209,11 @@ class AuditLedger:
         self._clock = clock
         self._events: list[AuditEvent] = []
         self._last_hash = GENESIS_HASH
-        # Indices hold the events themselves, so a lookup touches only the
-        # events it returns. Reports read project -> action -> events in seq
-        # order; ledger time never decreases, so each list is sorted by `at`
-        # and a report finds its period by bisection.
+        # Session lookups read the events themselves. Reports read only
+        # per-project times, kept in ledger order; ledger time never
+        # decreases, so each list is sorted and a report bisects it.
         self._by_session: dict[str, list[AuditEvent]] = {}
-        self._by_project: defaultdict[str, defaultdict[str, list[AuditEvent]]] = (
-            defaultdict(lambda: defaultdict(list)))
+        self._project_times: dict[str, _ProjectTimes] = {}
         self._affiliates: set[str] = set()
         self._spans: dict[str, list[_MappingSpan]] = {}
         self._span_by_session: dict[str, _MappingSpan] = {}
@@ -227,9 +247,8 @@ class AuditLedger:
             sid = event.detail["session"]
         if sid is not None:
             self._by_session.setdefault(sid, []).append(event)
-        project = event.detail.get("project")
-        if project is not None:
-            self._by_project[project][event.action].append(event)
+        if event.action in _REPORTED and "project" in event.detail:
+            self._index_project(event.detail["project"], event)
         if (event.action == "register" and event.detail.get("affiliation") == "affiliate"
                 and "netid" in event.detail):
             self._affiliates.add(event.detail["netid"])
@@ -245,6 +264,27 @@ class AuditLedger:
             span = self._span_by_session.get(event.object)
             if span is not None and span.end is None:
                 span.end = event.at
+
+    def _index_project(self, project: str, event: AuditEvent) -> None:
+        times = self._project_times.get(project)
+        if times is None:
+            times = self._project_times[project] = _ProjectTimes()
+        action, detail, at = event.action, event.detail, event.at
+        if action in _COUNTED:
+            times.counted.setdefault(action, []).append(at)
+        elif action == "map":
+            times.maps_by_mode.setdefault(detail.get("mode", ""), []).append(at)
+            if "vm" in detail:
+                times.maps_by_vm.setdefault(detail["vm"], []).append(at)
+        elif action == "traverse":
+            if detail.get("via", "").startswith("exception"):
+                times.exception_traversals.append(at)
+        elif action == "provision":
+            times.provisioned[event.object] = at
+        elif action == "destroy":
+            times.destroyed.setdefault(event.object, at)
+        else:  # project-create
+            times.stewards.update(s for s in detail.get("stewards", "").split(",") if s)
 
     # -- reading -----------------------------------------------------------
 
@@ -303,61 +343,46 @@ class AuditLedger:
 
     def compliance_report(self, project_id: str, period_start: int,
                           period_end: int | None = None) -> ComplianceReport:
-        """Counts over [period_start, period_end]; the period ends now by default."""
+        """Counts over [period_start, period_end]; the period ends now by default.
+
+        Each figure is one bisection of the project's time lists, and the
+        efficiency flags one per VM of the project, so a report costs
+        O(log n per figure + the project's VMs) and reads no event.
+        """
         if not self.project_exists(project_id):
             raise UnknownProject(project_id)
         if period_end is None:
             period_end = self._clock.now
-        by_action = self._by_project.get(project_id, {})
+        start, end = period_start, period_end
+        times = self._project_times.get(project_id) or _ProjectTimes()
 
-        def in_period(action: str) -> list[AuditEvent]:
-            events = by_action.get(action, [])
-            lo, hi = _period(events, period_start, period_end)
-            return events[lo:hi]
-
-        def count(action: str) -> int:
-            lo, hi = _period(by_action.get(action, []), period_start, period_end)
-            return hi - lo
-
-        sessions_by_mode: dict[str, int] = {"vpn": 0, "rdp": 0}
-        sessioned: set[str] = set()
-        for e in in_period("map"):
-            mode = e.detail.get("mode", "")
-            sessions_by_mode[mode] = sessions_by_mode.get(mode, 0) + 1
-            if "vm" in e.detail:
-                sessioned.add(e.detail["vm"])
-        traversals = sum(1 for e in in_period("traverse")
-                         if e.detail.get("via", "").startswith("exception"))
+        sessions_by_mode = {"vpn": 0, "rdp": 0}
+        for mode, maps in times.maps_by_mode.items():
+            n = _count(maps, start, end)
+            if n or mode in sessions_by_mode:
+                sessions_by_mode[mode] = n
 
         # A VM that existed during the period but hosted no session is flagged
         # so its allocation can be questioned.
-        provisioned = {e.object: e.at for e in by_action.get("provision", ())}
-        destroyed: dict[str, int] = {}
-        for e in by_action.get("destroy", ()):
-            destroyed.setdefault(e.object, e.at)
+        empty: list[int] = []
         flags = sorted(
-            vm for vm, born in provisioned.items()
-            if born <= period_end
-            and destroyed.get(vm, period_end + 1) >= period_start
-            and vm not in sessioned
+            vm for vm, born in times.provisioned.items()
+            if born <= end and times.destroyed.get(vm, end + 1) >= start
+            and not _any(times.maps_by_vm.get(vm, empty), start, end)
         )
 
-        # Affiliates acting as stewards are permitted but surfaced for review.
-        stewards: set[str] = set()
-        for e in by_action.get("project-create", ()):
-            stewards.update(s for s in e.detail.get("stewards", "").split(",") if s)
-        affiliate_stewards = sorted(stewards & self._affiliates)
-
+        counted = times.counted
         return ComplianceReport(
             project_id=project_id,
             period_start=period_start,
             period_end=period_end,
             sessions_by_mode=sessions_by_mode,
-            egress_allowed=count("egress-allow"),
-            egress_denied=count("egress-deny"),
-            exception_traversals=traversals,
-            grants=count("grant"),
-            revokes=count("revoke"),
+            egress_allowed=_count(counted.get("egress-allow", empty), start, end),
+            egress_denied=_count(counted.get("egress-deny", empty), start, end),
+            exception_traversals=_count(times.exception_traversals, start, end),
+            grants=_count(counted.get("grant", empty), start, end),
+            revokes=_count(counted.get("revoke", empty), start, end),
             efficiency_flags=flags,
-            affiliate_stewards=affiliate_stewards,
+            # Affiliates acting as stewards are permitted but surfaced for review.
+            affiliate_stewards=sorted(times.stewards & self._affiliates),
         )

@@ -58,6 +58,17 @@ class TestProvision:
         with pytest.raises(NoCapacity):
             broker.enclave.provision_vm("study", "research-subnet", 16, 64, False)
 
+    def test_generated_id_skips_a_background_vm(self, broker):
+        """A background VM that holds the next generated id keeps it, and
+        its host keeps both VMs charged."""
+        broker.enclave.add_background_vm("vm-0001", "campus", "host-a", 2, 4)
+        vm = broker.enclave.provision_vm("study", "research-subnet", 4, 16)
+        assert vm.id == "vm-0002"
+        assert sorted(broker.enclave.vms) == ["vm-0001", "vm-0002"]
+        assert broker.enclave.vms["vm-0001"].project_id != "study"
+        host = broker.enclave.hosts["host-a"]
+        assert (host.used_cpu, host.used_ram) == (2 + 4, 4 + 16)
+
 
 class TestResize:
     def test_grow_within_capacity(self, broker):

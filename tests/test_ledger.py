@@ -15,7 +15,7 @@ from enclavebroker.errors import (
 from enclavebroker.ledger import GENESIS_HASH, AuditEvent, event_hash
 from enclavebroker.sessions import DAY
 
-from conftest import make_broker, open_rdp
+from conftest import authenticate, make_broker, open_rdp
 from oracles import recount_report, resolve_by_scan
 
 
@@ -279,6 +279,54 @@ class TestComplianceReport:
         assert whole.sessions_by_mode["rdp"] == 3
         middle = b.ledger.compliance_report("guest-led", 4 * DAY, 10 * DAY)
         assert middle.efficiency_flags == [idle.id, first.vm_id]
+
+    def test_matches_recount_with_traversals_and_a_resumed_vm(self):
+        """What the replayed property history lacks: exception traversals
+        at several times, a traverse that came through no exception, and a
+        retained VM that hosts two sessions a day apart. Windows cover each
+        event and the gap between the two sessions, in which the VM hosted
+        none although it had sessions before and after."""
+        b = make_broker()
+        target = b.enclave.provision_vm("study", "research-subnet", 4, 16)
+        b.op("register_exception", {"actor": "admin1", "service": "https", "src": "campus",
+                                    "dst": target.id, "documented_by": "inbound"})
+        for _ in range(3):
+            assert b.check_reachable("campus", target.id, "https").allowed
+            b.clock.advance(3600)
+        b.ledger.append("broker", "traverse", target.id, {
+            "via": "gateway:gw-research-jump", "service": "rdp", "project": "study",
+            "path": "campus>gw-research-jump"})
+        first, _ = open_rdp(b, "res1")
+        b.sessions.close_session(first.id)
+        closed_at = b.clock.now
+        b.clock.advance(DAY)
+        second, _ = b.sessions.resume_session(authenticate(b, "res1"), "study", "rdp", False)
+        b.check_reachable("campus", target.id, "https")
+        b.sessions.close_session(second.id)
+        b.clock.advance(DAY)
+        now = b.clock.now
+
+        lines = b.ledger.export_lines()
+        events = [json.loads(line) for line in lines]
+        study = [e for e in events if e["detail"].get("project") == "study"]
+        via = [e["detail"]["via"] for e in study if e["action"] == "traverse"]
+        assert sum(v.startswith("exception") for v in via) == 4
+        assert len(via) == 5
+        maps = [e for e in study if e["action"] == "map"]
+        assert second.vm_id == first.vm_id and [e["detail"]["vm"] for e in maps] == [
+            first.vm_id, first.vm_id]
+
+        windows = [(0, now), (closed_at + 1, closed_at + DAY - 1), (now, 0),
+                   (now + 1, now + DAY), (-DAY, -1)]
+        for t in sorted({e["at"] for e in study}):
+            windows += [(t, t), (t - 1, t + 1), (t + 1, now), (0, t - 1)]
+        for start, end in windows:
+            report = b.ledger.compliance_report("study", start, end).to_wire()
+            expected = recount_report(lines, "study", start, end)
+            assert {k: report[k] for k in expected} == expected, (start, end)
+        gap = b.ledger.compliance_report("study", closed_at + 1, closed_at + DAY - 1)
+        assert gap.efficiency_flags == sorted([target.id, first.vm_id])
+        assert b.ledger.compliance_report("study", 0, now).exception_traversals == 4
 
 
 class TestTraceabilityTotality:
