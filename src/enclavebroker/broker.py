@@ -153,7 +153,7 @@ OPS: dict[str, Op] = {
     "create_group": Op("_create_group", Arg("name"), Arg("kind", GroupKind, "role"),
                        Arg("owning_project", str, None), Arg("actor", str, "broker")),
     "set_membership": Op(
-        "directory.set_membership", Arg("actor"), Arg("group"), Arg("netid"),
+        "policy.set_membership", Arg("actor"), Arg("group"), Arg("netid"),
         Arg("action", ("add", "remove")),
         out=lambda g: {"group": g.name, "members": sorted(g.members)}),
     # policy
@@ -239,7 +239,7 @@ OPS: dict[str, Op] = {
 
 class Broker:
     def __init__(self, *, seed: int = 0, start_time: int = 0,
-                 retention_days: int = 30, allow_concurrent_sessions: bool = False):
+                 retention_days: int = 30):
         self.clock = SimClock(start_time)
         self.rng = random.Random(seed)
         self.seed = seed
@@ -250,31 +250,16 @@ class Broker:
                                self.policy)
         self.sessions = SessionBroker(
             self.directory, self.policy, self.enclave, self.ledger, self.clock,
-            self.rng, retention_days=retention_days,
-            allow_concurrent=allow_concurrent_sessions,
-        )
+            self.rng, retention_days=retention_days)
         self.egress = EgressControl(self.sessions, self.policy, self.ledger, self.rng)
         self.pipeline = DeliveryPipeline(self.directory, self.policy, self.enclave,
                                          self.ledger, self.clock)
-        # Cross-module wiring. Each module keeps its own contract; these
-        # callbacks are the only seams between them.
-        self.directory.steward_lookup = self.policy.stewards_of
-        self.directory.mode_group_delegate = self._mode_group_change
+        # The two session cascades: the only seams wired between modules.
         self.policy.on_revoke = self.sessions.force_close_for
         self.enclave.on_vm_destroyed = self.sessions.handle_vm_destroyed
-        self.ledger.project_exists = self.policy.has_project
 
         self._lock = threading.RLock()
         self._authenticated: dict[str, AuthenticatedPrincipal] = {}
-
-    def _mode_group_change(self, actor: str, project_id: str, netid: str,
-                           mode: str, action: str):
-        if action == "add":
-            self.policy.grant_access(actor, project_id, netid, mode)
-        else:
-            self.policy.revoke_access(actor, project_id, netid, mode)
-        project = self.policy.get_project(project_id)
-        return self.directory.group(project.mode_group(AccessMode(mode)))
 
     # -- principals -------------------------------------------------------------
 

@@ -191,10 +191,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def build_broker(topology_path: str | Path, directory_path: str | Path, *,
-                 seed: int = 0, start_time: int = 0, retention_days: int = 30,
-                 allow_concurrent_sessions: bool = False) -> Broker:
-    broker = Broker(seed=seed, start_time=start_time, retention_days=retention_days,
-                    allow_concurrent_sessions=allow_concurrent_sessions)
+                 seed: int = 0, start_time: int = 0, retention_days: int = 30) -> Broker:
+    broker = Broker(seed=seed, start_time=start_time, retention_days=retention_days)
     load_topology(broker, topology_path)
     load_directory(broker, directory_path)
     return broker

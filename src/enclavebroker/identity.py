@@ -9,7 +9,6 @@ from __future__ import annotations
 import hmac
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .clock import SimClock
 from .errors import (
@@ -22,7 +21,6 @@ from .errors import (
     MissingSponsor,
     ShadowGroupImmutable,
     Unauthorized,
-    UnknownGroup,
     UnknownUser,
     UnmappedSubject,
     UntrustedIssuer,
@@ -54,7 +52,6 @@ class RealPersistentUser:
     netid: str
     affiliation: Affiliation
     sponsor: str | None = None
-    mfa_enrolled: bool = False
     active: bool = True
 
 
@@ -103,11 +100,6 @@ class Directory:
         self.admins: set[str] = set()
         self.trusted_issuers: set[str] = set()
         self._subject_map: dict[str, dict[str, str]] = {}
-        # Wired by the broker facade; the project store owns stewardship.
-        self.steward_lookup: Callable[[str], set[str]] = lambda pid: set()
-        # Mode-group edits route through grant/revoke so every access change
-        # leaves a grant or revoke event in the ledger.
-        self.mode_group_delegate: Callable[[str, str, str, str, str], "Group"] | None = None
 
     # -- users ---------------------------------------------------------------
 
@@ -125,8 +117,7 @@ class Directory:
                 raise InvalidSponsor(f"{sponsor} cannot sponsor {netid}")
         else:
             sponsor = None
-        user = RealPersistentUser(netid=netid, affiliation=affiliation, sponsor=sponsor,
-                                  mfa_enrolled=mfa_secret is not None)
+        user = RealPersistentUser(netid=netid, affiliation=affiliation, sponsor=sponsor)
         self._users[netid] = user
         if mfa_secret is not None:
             self._mfa_secrets[netid] = mfa_secret
@@ -240,7 +231,7 @@ class Directory:
             self._ledger.append(netid, "mfa", netid, {"result": "missing-proof"})
             raise MfaRequired(netid)
         secret = self._mfa_secrets.get(netid)
-        if not user.mfa_enrolled or secret is None or not hmac.compare_digest(secret, factor_proof):
+        if secret is None or not hmac.compare_digest(secret, factor_proof):
             self._ledger.append(netid, "mfa", netid, {"result": "failed"})
             raise MfaFailed(netid)
         self._ledger.append(netid, "mfa", netid, {"result": "passed"})
@@ -277,28 +268,10 @@ class Directory:
             return True
         return self.is_member(SHADOW_PREFIX + group_name, identity)
 
-    def set_membership(self, actor: str, group_name: str, netid: str, action: str,
-                       *, _from_policy: bool = False) -> Group:
-        group = self._groups.get(group_name)
-        if group is None:
-            raise UnknownGroup(group_name)
-        if netid not in self._users:
-            raise UnknownUser(netid)
-        if group.kind is GroupKind.SHADOW:
-            raise ShadowGroupImmutable(group_name)
-        if group.kind in (GroupKind.ACCESS_VPN, GroupKind.ACCESS_RDP) and not _from_policy:
-            # Access membership is a grant: route through the policy engine so
-            # the ledger always carries a grant/revoke event for it.
-            if self.mode_group_delegate is None or group.owning_project is None:
-                raise Unauthorized("access-mode groups change only via grant/revoke")
-            mode = "vpn" if group.kind is GroupKind.ACCESS_VPN else "rdp"
-            self.mode_group_delegate(actor, group.owning_project, netid, mode, action)
-            return group
-        if not self.is_admin(actor):
-            if group.owning_project is None:
-                raise Unauthorized(f"{actor} cannot manage {group_name}")
-            if actor not in self.steward_lookup(group.owning_project):
-                raise Unauthorized(f"{actor} is not a steward of {group.owning_project}")
+    def apply_membership(self, actor: str, group: Group, netid: str, action: str) -> Group:
+        """Add or remove ``netid`` and record it. The policy engine decides
+        who may change a group (``PolicyEngine.set_membership``); this only
+        applies the change."""
         if action not in ("add", "remove"):
             raise ValueError(f"membership action {action!r}")
         if action == "add":
@@ -307,8 +280,8 @@ class Directory:
         else:
             changed = netid in group.members
             group.members.discard(netid)
-        self._ledger.append(actor, "membership", group_name, {
-            "group": group_name,
+        self._ledger.append(actor, "membership", group.name, {
+            "group": group.name,
             "netid": netid,
             "action": action,
             "result": "applied" if changed else "no-op",

@@ -14,7 +14,6 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable
 
 from .clock import SimClock
 from .errors import (
@@ -214,11 +213,11 @@ class AuditLedger:
         # decreases, so each list is sorted and a report bisects it.
         self._by_session: dict[str, list[AuditEvent]] = {}
         self._project_times: dict[str, _ProjectTimes] = {}
+        self._projects: set[str] = set()
         self._affiliates: set[str] = set()
         self._spans: dict[str, list[_MappingSpan]] = {}
+        # The span of each open session; it leaves at the session's close.
         self._span_by_session: dict[str, _MappingSpan] = {}
-        # Wired by the broker facade; reports need to know the project exists.
-        self.project_exists: Callable[[str], bool] = lambda pid: True
 
     # -- writing -----------------------------------------------------------
 
@@ -252,7 +251,9 @@ class AuditLedger:
         if (event.action == "register" and event.detail.get("affiliation") == "affiliate"
                 and "netid" in event.detail):
             self._affiliates.add(event.detail["netid"])
-        if event.action == "map":
+        elif event.action == "project-create":
+            self._projects.add(event.object)
+        elif event.action == "map":
             span = _MappingSpan(
                 session_id=event.object,
                 principal=event.detail["principal"],
@@ -261,8 +262,8 @@ class AuditLedger:
             self._spans.setdefault(event.detail["arbitrary_user"], []).append(span)
             self._span_by_session[event.object] = span
         elif event.action in ("close", "revoke-forced-close"):
-            span = self._span_by_session.get(event.object)
-            if span is not None and span.end is None:
+            span = self._span_by_session.pop(event.object, None)
+            if span is not None:
                 span.end = event.at
 
     def _index_project(self, project: str, event: AuditEvent) -> None:
@@ -349,7 +350,7 @@ class AuditLedger:
         efficiency flags one per VM of the project, so a report costs
         O(log n per figure + the project's VMs) and reads no event.
         """
-        if not self.project_exists(project_id):
+        if project_id not in self._projects:
             raise UnknownProject(project_id)
         if period_end is None:
             period_end = self._clock.now

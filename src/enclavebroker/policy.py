@@ -19,16 +19,20 @@ from .errors import (
     InvalidSpec,
     MfaRequired,
     PublicProjectNoGrants,
+    ShadowGroupImmutable,
     Unauthorized,
     UnknownGroup,
     UnknownProject,
     UnknownUser,
 )
-from .identity import AuthenticatedPrincipal, Directory, GroupKind
+from .identity import AuthenticatedPrincipal, Directory, Group, GroupKind
 from .ledger import AuditLedger
 from .model import AccessMode, Decision, Tier, allow, deny
 
 PROTECTED_VRF = "protected-vrf"
+
+# The access mode whose grants an access-mode group holds.
+_GROUP_MODE = {GroupKind.ACCESS_VPN: AccessMode.VPN, GroupKind.ACCESS_RDP: AccessMode.RDP}
 
 
 @dataclass
@@ -76,8 +80,8 @@ class PolicyEngine:
         self._clock = clock
         self._projects: dict[str, Project] = {}
         # Wired by the broker facade: revoking a grant force-closes the
-        # revoked principal's open sessions in that mode.
-        self.on_revoke: Callable[[str, str, AccessMode], list[str]] = lambda n, p, m: []
+        # revoked principal's open session in that mode.
+        self.on_revoke: Callable[[str, str, AccessMode], None] = lambda n, p, m: None
 
     # -- project lifecycle ---------------------------------------------------
 
@@ -136,15 +140,8 @@ class PolicyEngine:
             raise UnknownProject(project_id)
         return project
 
-    def has_project(self, project_id: str) -> bool:
-        return project_id in self._projects
-
     def projects(self) -> list[Project]:
         return [self._projects[k] for k in sorted(self._projects)]
-
-    def stewards_of(self, project_id: str) -> set[str]:
-        project = self._projects.get(project_id)
-        return set(project.stewards) if project else set()
 
     def proxy_whitelist_of(self, project_id: str) -> set[str]:
         project = self._projects.get(project_id)
@@ -190,8 +187,7 @@ class PolicyEngine:
             raise UnknownUser(netid)
         if project.classification is Tier.PUBLIC:
             raise PublicProjectNoGrants(project_id)
-        self._directory.set_membership(actor, project.mode_group(mode), netid, "add",
-                                       _from_policy=True)
+        self._change_members(actor, project.mode_group(mode), netid, "add")
         at = self._clock.now
         self._ledger.append(actor, "grant", project_id, {
             "project": project_id,
@@ -208,8 +204,7 @@ class PolicyEngine:
             raise Unauthorized(f"{actor} is not a steward of {project_id}")
         if not self._directory.has_user(netid):
             raise UnknownUser(netid)
-        self._directory.set_membership(actor, project.mode_group(mode), netid, "remove",
-                                       _from_policy=True)
+        self._change_members(actor, project.mode_group(mode), netid, "remove")
         at = self._clock.now
         self._ledger.append(actor, "revoke", project_id, {
             "project": project_id,
@@ -219,6 +214,43 @@ class PolicyEngine:
         # Revocation is immediate: open sessions in the revoked mode do not drain.
         self.on_revoke(netid, project_id, mode)
         return GrantRecord(project_id, netid, mode, actor, at, active=False)
+
+    # -- membership ------------------------------------------------------------
+
+    def set_membership(self, actor: str, group_name: str, netid: str, action: str) -> Group:
+        """Add ``netid`` to or remove it from a group. An access-mode group
+        changes only by a grant or revoke, so the ledger always carries one
+        for an access change."""
+        group = self._directory.group(group_name)
+        if group is None:
+            raise UnknownGroup(group_name)
+        if not self._directory.has_user(netid):
+            raise UnknownUser(netid)
+        mode = _GROUP_MODE.get(group.kind)
+        if mode is None:
+            return self._change_members(actor, group_name, netid, action)
+        project_id = group.owning_project
+        if project_id is None:
+            raise Unauthorized("access-mode groups change only via grant/revoke")
+        if action == "add":
+            self.grant_access(actor, project_id, netid, mode)
+        else:
+            self.revoke_access(actor, project_id, netid, mode)
+        return self._directory.group(self._projects[project_id].mode_group(mode))
+
+    def _change_members(self, actor: str, group_name: str, netid: str, action: str) -> Group:
+        """Check that ``actor`` may change the group, then change it: an
+        administrator may change any group, a steward their project's groups."""
+        group = self._directory.group(group_name)
+        if group.kind is GroupKind.SHADOW:
+            raise ShadowGroupImmutable(group.name)
+        if not self._directory.is_admin(actor):
+            if group.owning_project is None:
+                raise Unauthorized(f"{actor} cannot manage {group.name}")
+            project = self._projects.get(group.owning_project)
+            if project is None or actor not in project.stewards:
+                raise Unauthorized(f"{actor} is not a steward of {group.owning_project}")
+        return self._directory.apply_membership(actor, group, netid, action)
 
     # -- decisions ----------------------------------------------------------------
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .clock import SimClock
 from .enclave import AccessContext, Enclave, INTERNET, VmState
@@ -85,7 +84,6 @@ class Session:
     credential_id: str
     opened_at: int
     endpoint_managed: bool
-    gateway_path: list[str]
     state: SessionState = SessionState.OPEN
     closed_at: int | None = None
 
@@ -119,7 +117,7 @@ class ClientView:
 class SessionBroker:
     def __init__(self, directory: Directory, policy: PolicyEngine, enclave: Enclave,
                  ledger: AuditLedger, clock: SimClock, rng, *,
-                 retention_days: int = 30, allow_concurrent: bool = False):
+                 retention_days: int = 30):
         self._directory = directory
         self._policy = policy
         self._enclave = enclave
@@ -127,10 +125,10 @@ class SessionBroker:
         self._clock = clock
         self._rng = rng
         self.retention_days = retention_days
-        self.allow_concurrent = allow_concurrent
         # Live state only: a session, its credential and secret leave at
         # close, and an arbitrary user when its VM is destroyed. The ledger
-        # keeps their history.
+        # keeps their history. A principal holds at most one open session
+        # per project, so a VM carries at most one open session.
         self._open: dict[str, Session] = {}
         self._credentials: dict[str, EphemeralCredential] = {}
         self._by_secret: dict[str, str] = {}
@@ -168,13 +166,7 @@ class SessionBroker:
         return self._bindings.get((principal, project_id))
 
     def open_sessions(self) -> list[Session]:
-        return self._open_where(lambda s: True)
-
-    def _open_where(self, match: Callable[[Session], bool]) -> list[Session]:
-        # A sorted snapshot: ids fix the order in which closes reach the
-        # ledger, and _finish removes entries from _open while callers loop.
-        return sorted((s for s in self._open.values() if match(s)),
-                      key=lambda s: s.id)
+        return sorted(self._open.values(), key=lambda s: s.id)
 
     # -- naming and secrets -------------------------------------------------------
 
@@ -240,11 +232,9 @@ class SessionBroker:
         if mode is AccessMode.VPN and not endpoint_managed:
             raise UnmanagedEndpoint("vpn access requires a managed endpoint")
         netid = principal.netid
-        if not self.allow_concurrent:
-            clash = self._open_where(
-                lambda s: s.principal == netid and s.project_id == project_id)
-            if clash:
-                raise SessionAlreadyOpen(clash[0].id)
+        for other in self._open.values():
+            if other.principal == netid and other.project_id == project_id:
+                raise SessionAlreadyOpen(other.id)
 
         service = MODE_SERVICE[mode]
         binding = self._bindings.get((netid, project_id))
@@ -309,7 +299,6 @@ class SessionBroker:
             credential_id=credential.id,
             opened_at=now,
             endpoint_managed=endpoint_managed,
-            gateway_path=list(path.path),
         )
         self._open[session_id] = session
 
@@ -403,21 +392,19 @@ class SessionBroker:
         self._finish(session, action="close", retain=True)
         return session
 
-    def force_close_for(self, netid: str, project_id: str,
-                        mode: AccessMode) -> list[str]:
-        """Revocation cascade: close matching open sessions immediately."""
-        closed = []
-        for session in self._open_where(
-                lambda s: s.principal == netid and s.project_id == project_id
-                and s.mode == mode):
+    def force_close_for(self, netid: str, project_id: str, mode: AccessMode) -> None:
+        """Revocation cascade: close the principal's open session on the
+        project in the revoked mode, if there is one, immediately."""
+        session = next((s for s in self._open.values() if s.principal == netid
+                        and s.project_id == project_id and s.mode == mode), None)
+        if session is not None:
             self._finish(session, action="revoke-forced-close", retain=True)
-            closed.append(session.id)
-        return closed
 
     def handle_vm_destroyed(self, vm_id: str) -> None:
-        """VM teardown closes any session riding it and drops its arbitrary
-        user; nothing is retained."""
-        for session in self._open_where(lambda s: s.vm_id == vm_id):
+        """VM teardown closes the session riding it, if any, and drops its
+        arbitrary user; nothing is retained."""
+        session = next((s for s in self._open.values() if s.vm_id == vm_id), None)
+        if session is not None:
             self._finish(session, action="close", retain=False, cause="vm-destroyed")
         self._vm_users.pop(vm_id, None)
 

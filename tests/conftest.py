@@ -19,12 +19,10 @@ ZONES = [
 ]
 
 
-def make_broker(seed: int = 0, *, allow_concurrent: bool = False,
-                retention_days: int = 30) -> Broker:
+def make_broker(seed: int = 0, *, retention_days: int = 30) -> Broker:
     """A small but complete environment: two projects, both gateways per
     zone, a shared and a dedicated host, and the usual cast of users."""
-    b = Broker(seed=seed, retention_days=retention_days,
-               allow_concurrent_sessions=allow_concurrent)
+    b = Broker(seed=seed, retention_days=retention_days)
     for zone, parent in ZONES:
         b.enclave.add_zone(zone, parent)
     b.enclave.add_gateway("gw-research-jump", "jumpbox", "research-subnet", "rdp")

@@ -161,18 +161,18 @@ class TestMfa:
 class TestMembership:
     def test_steward_adds_to_role_group(self, broker):
         broker.directory.create_group("study-extra", GroupKind.ROLE, "study")
-        group = broker.directory.set_membership("stw1", "study-extra", "res1", "add")
+        group = broker.policy.set_membership("stw1", "study-extra", "res1", "add")
         assert "res1" in group.members
 
     def test_non_steward_rejected(self, broker):
         broker.directory.create_group("study-extra", GroupKind.ROLE, "study")
         with pytest.raises(Unauthorized):
-            broker.directory.set_membership("res2", "study-extra", "res1", "add")
+            broker.policy.set_membership("res2", "study-extra", "res1", "add")
 
     def test_remove_non_member_is_noop(self, broker):
         broker.directory.create_group("study-extra", GroupKind.ROLE, "study")
         before = set(broker.directory.group("study-extra").members)
-        group = broker.directory.set_membership("stw1", "study-extra", "res1", "remove")
+        group = broker.policy.set_membership("stw1", "study-extra", "res1", "remove")
         assert set(group.members) == before
         last = broker.ledger.events[-1]
         assert last.action == "membership"
@@ -180,28 +180,28 @@ class TestMembership:
 
     def test_idempotent_add(self, broker):
         broker.directory.create_group("study-extra", GroupKind.ROLE, "study")
-        broker.directory.set_membership("stw1", "study-extra", "res1", "add")
+        broker.policy.set_membership("stw1", "study-extra", "res1", "add")
         once = set(broker.directory.group("study-extra").members)
-        broker.directory.set_membership("stw1", "study-extra", "res1", "add")
+        broker.policy.set_membership("stw1", "study-extra", "res1", "add")
         assert set(broker.directory.group("study-extra").members) == once
 
     def test_unknown_group(self, broker):
         with pytest.raises(UnknownGroup):
-            broker.directory.set_membership("admin1", "nope", "res1", "add")
+            broker.policy.set_membership("admin1", "nope", "res1", "add")
 
     def test_unknown_user(self, broker):
         broker.directory.create_group("study-extra", GroupKind.ROLE, "study")
         with pytest.raises(UnknownUser):
-            broker.directory.set_membership("stw1", "study-extra", "ghost", "add")
+            broker.policy.set_membership("stw1", "study-extra", "ghost", "add")
 
     def test_shadow_groups_immutable(self, broker):
         broker.directory.shadow_attach("analysts", "u-deadbeef")
         with pytest.raises(ShadowGroupImmutable):
-            broker.directory.set_membership("admin1", "shadow:analysts", "res1", "add")
+            broker.policy.set_membership("admin1", "shadow:analysts", "res1", "add")
 
     def test_steward_adds_to_project_vpn_group(self, broker):
         """Access-group edits work for stewards and land a grant event."""
-        group = broker.directory.set_membership("stw1", "study-vpn", "res1", "add")
+        group = broker.policy.set_membership("stw1", "study-vpn", "res1", "add")
         assert "res1" in group.members
         grants = [e for e in broker.ledger.events if e.action == "grant"]
         assert grants and grants[-1].detail == {"project": "study", "netid": "res1",
@@ -210,9 +210,35 @@ class TestMembership:
     def test_mode_group_edits_follow_grant_semantics(self, broker):
         # even an admin cannot grant; only stewards control data access
         with pytest.raises(Unauthorized):
-            broker.directory.set_membership("admin1", "study-rdp", "res1", "add")
+            broker.policy.set_membership("admin1", "study-rdp", "res1", "add")
         with pytest.raises(Unauthorized):
-            broker.directory.set_membership("res2", "study-rdp", "res1", "add")
+            broker.policy.set_membership("res2", "study-rdp", "res1", "add")
+
+    def test_op_on_access_group_records_membership_then_grant(self, broker):
+        before = len(broker.ledger)
+        out = broker.op("set_membership", {"actor": "stw1", "group": "study-rdp",
+                                           "netid": "res1", "action": "add"})
+        assert out == {"group": "study-rdp", "members": ["res1"]}
+        added = broker.ledger.events[before:]
+        assert [e.action for e in added] == ["membership", "grant"]
+        assert added[1].detail == {"project": "study", "netid": "res1", "mode": "rdp"}
+
+    def test_grant_on_role_group_named_like_a_mode_group(self, broker):
+        # A role group that predates its project stands in for the project's
+        # access group; only an administrator may change a role group without
+        # an owning project, so a steward's grant is refused.
+        broker.directory.create_group("pilot-vpn", GroupKind.ROLE)
+        broker.policy.register_project("admin1", "pilot", "restricted", {"stw1"})
+        with pytest.raises(Unauthorized, match="^stw1 cannot manage pilot-vpn$"):
+            broker.op("grant_access", {"actor": "stw1", "project": "pilot",
+                                       "netid": "res1", "mode": "vpn"})
+
+    def test_access_group_without_project(self, broker):
+        broker.directory.create_group("orphan-vpn", GroupKind.ACCESS_VPN)
+        with pytest.raises(Unauthorized,
+                           match="^access-mode groups change only via grant/revoke$"):
+            broker.op("set_membership", {"actor": "admin1", "group": "orphan-vpn",
+                                         "netid": "res1", "action": "add"})
 
 
 class TestMfaGate:

@@ -30,9 +30,9 @@ def test_set_membership_idempotent(action, netid):
     broker = make_broker()
     from enclavebroker.identity import GroupKind
     broker.directory.create_group("g", GroupKind.ROLE, "study")
-    broker.directory.set_membership("stw1", "g", netid, action)
+    broker.policy.set_membership("stw1", "g", netid, action)
     once = set(broker.directory.group("g").members)
-    broker.directory.set_membership("stw1", "g", netid, action)
+    broker.policy.set_membership("stw1", "g", netid, action)
     assert set(broker.directory.group("g").members) == once
 
 

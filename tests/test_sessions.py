@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -70,13 +71,15 @@ class TestOpenSession:
         with pytest.raises(SessionAlreadyOpen):
             broker.sessions.open_session(principal, "study", "rdp", False)
 
-    def test_concurrent_allowed_when_configured(self):
-        b = make_broker(allow_concurrent=True)
-        first, _ = open_rdp(b)
-        principal = authenticate(b, "res1")
-        second, _ = b.sessions.open_session(principal, "study", "rdp", False)
-        assert first.vm_id != second.vm_id
-        assert first.arbitrary_user != second.arbitrary_user
+    def test_second_open_in_the_other_mode_denied(self, broker):
+        first, _ = open_rdp(broker)
+        broker.policy.grant_access("stw1", "study", "res1", "vpn")
+        principal = authenticate(broker, "res1")
+        with pytest.raises(SessionAlreadyOpen, match=f"^{first.id}$"):
+            broker.sessions.open_session(principal, "study", "vpn", True)
+        with pytest.raises(SessionAlreadyOpen):
+            broker.sessions.resume_session(principal, "study", "vpn", True)
+        assert broker.sessions.open_sessions() == [first]
 
     def test_no_gateway_no_path(self):
         b = make_broker()
@@ -108,33 +111,36 @@ class TestOpenSession:
         authn = broker.ledger.reconstruct_session(session.id)[0]
         assert authn.detail["method"] == "federated"
 
-    def test_revoke_and_vm_destroy_close_through_the_open_index(self):
-        b = make_broker(allow_concurrent=True)
-        first, _ = open_rdp(b)
-        second, _ = b.sessions.open_session(authenticate(b, "res1"), "study", "rdp", False)
-        other, _ = open_rdp(b, "res2")
-        b.policy.revoke_access("stw1", "study", "res1", "rdp")
-        forced = [e.object for e in b.ledger.events if e.action == "revoke-forced-close"]
-        assert forced == [first.id, second.id]
-        assert b.sessions.open_sessions() == [other]
-        b.enclave.destroy_vm(other.vm_id)
+    def test_revoke_and_vm_destroy_close_through_the_open_index(self, broker):
+        first, _ = open_rdp(broker, "res1")
+        other, _ = open_rdp(broker, "res2")
+        broker.policy.revoke_access("stw1", "study", "res1", "rdp")
+        forced = [e.object for e in broker.ledger.events if e.action == "revoke-forced-close"]
+        assert forced == [first.id]
+        assert broker.sessions.open_sessions() == [other]
+        broker.enclave.destroy_vm(other.vm_id)
         assert other.state is SessionState.CLOSED
-        last = b.ledger.events[-1]
+        last = broker.ledger.events[-1]
         assert (last.action, last.object, last.detail["cause"]) == \
             ("close", other.id, "vm-destroyed")
-        assert b.sessions.open_sessions() == []
+        assert broker.sessions.open_sessions() == []
+        assert broker.enclave.vm(first.vm_id).state is VmState.RETAINED
 
-    def test_forced_closes_follow_id_order_past_six_digits(self):
-        """Forced closes reach the ledger in the string order of session ids,
-        so s-1000000 closes before s-999999."""
-        b = make_broker(allow_concurrent=True)
-        b.sessions._session_seq = 999_998
-        first, _ = open_rdp(b)
-        second, _ = b.sessions.open_session(authenticate(b, "res1"), "study", "rdp", False)
-        assert (first.id, second.id) == ("s-999999", "s-1000000")
-        b.policy.revoke_access("stw1", "study", "res1", "rdp")
-        forced = [e.object for e in b.ledger.events if e.action == "revoke-forced-close"]
-        assert forced == ["s-1000000", "s-999999"]
+    def test_revoking_an_unused_mode_leaves_the_session_open(self, broker):
+        session, _ = open_rdp(broker)
+        broker.policy.grant_access("stw1", "study", "res1", "vpn")
+        broker.policy.revoke_access("stw1", "study", "res1", "vpn")
+        assert session.state is SessionState.OPEN
+        assert broker.sessions.open_sessions() == [session]
+        assert not any(e.action == "revoke-forced-close" for e in broker.ledger.events)
+
+    def test_forced_closes_follow_id_order_past_six_digits(self, broker):
+        broker.sessions._session_seq = 999_999
+        session, _ = open_rdp(broker)
+        assert session.id == "s-1000000"
+        broker.sessions.close_session(session.id)
+        with pytest.raises(SessionAlreadyClosed, match="^s-1000000$"):
+            broker.sessions.close_session(session.id)
 
 
 class TestMintCredential:
@@ -341,8 +347,10 @@ class TestExpireRetained:
 class TestLiveStateOnly:
     def test_replay_holds_only_live_state(self, tmp_path):
         """Soak: after each step of a loadgen replay the broker holds one
-        session, credential, secret and active user per open session, and
-        one arbitrary user per VM not yet destroyed; at the end, none."""
+        session, credential, secret, active user and ledger span per open
+        session, at most one open session per principal and project, one
+        binding per retained VM, and one arbitrary user per VM not yet
+        destroyed; at the end, none."""
         topology = tmp_path / "topology.json"
         topology.write_text(json.dumps(build_topology(host_cpu=1024, host_ram=4096)))
         directory = tmp_path / "directory.json"
@@ -361,6 +369,12 @@ class TestLiveStateOnly:
             live_vms = {vm.id for vm in broker.enclave.vms.values()
                         if vm.state is not VmState.DESTROYED}
             assert set(held._open) == open_ids
+            assert set(broker.ledger._span_by_session) == open_ids
+            owners = [(s.principal, s.project_id) for s in held._open.values()]
+            assert len(set(owners)) == len(owners)
+            bound = Counter(b.vm_id for b in held._bindings.values())
+            assert all(bound[vm.id] == 1 for vm in broker.enclave.vms.values()
+                       if vm.state is VmState.RETAINED)
             assert len(held._credentials) == len(held._by_secret) == len(open_ids)
             assert len(held._active_by_user) == len(open_ids)
             assert set(held._vm_users) == live_vms
