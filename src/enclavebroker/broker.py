@@ -242,7 +242,6 @@ class Broker:
                  retention_days: int = 30):
         self.clock = SimClock(start_time)
         self.rng = random.Random(seed)
-        self.seed = seed
         self.ledger = AuditLedger(self.clock)
         self.directory = Directory(self.ledger, self.clock)
         self.policy = PolicyEngine(self.directory, self.ledger, self.clock)

@@ -94,7 +94,6 @@ class Gateway:
     kind: GatewayKind
     admits_to: str
     required_mode: AccessMode | None
-    monitored: bool = True
 
     def admits_service(self, service: str) -> bool:
         if self.kind is GatewayKind.RDP_JUMPBOX:
@@ -251,7 +250,7 @@ class Enclave:
             raise SchemaError("ssh gateways carry no access mode; enable them via an exception")
         if kind is not GatewayKind.SSH and mode is None:
             raise SchemaError(f"gateway {gateway_id} needs a required mode")
-        gateway = Gateway(gateway_id, kind, admits_to, mode, True)
+        gateway = Gateway(gateway_id, kind, admits_to, mode)
         self.gateways[gateway_id] = gateway
         return gateway
 
@@ -496,12 +495,32 @@ class Enclave:
 
     # -- reachability -------------------------------------------------------------
 
-    def find_gateway(self, zone: str, mode: AccessMode, service: str) -> Gateway | None:
+    def session_gateway(self, ctx: AccessContext, zone: str, project_id: str | None,
+                        service: str) -> tuple[Gateway | None, str]:
+        """The first gateway by id that admits a session to a ``project_id``
+        host in ``zone``, with its reason; else None and the first rule that
+        failed. The source must be a zone outside the enclave."""
+        self._check_session_source(ctx)
+        failure = None
         for gid in sorted(self.gateways):
             g = self.gateways[gid]
-            if g.admits_to == zone and g.required_mode == mode and g.admits_service(service):
-                return g
-        return None
+            if g.admits_to != zone:
+                continue
+            if not g.admits_service(service):
+                failure = failure or "service-not-admitted"
+            elif g.required_mode != ctx.mode:
+                failure = failure or "mode-mismatch"
+            elif ctx.mode not in ctx.authorized_modes:
+                failure = failure or "not-authorized"
+            elif project_id != ctx.project_id:
+                failure = failure or "host-acl"
+            else:
+                return g, f"gateway:{g.id}"
+        return None, failure or "no-gateway"
+
+    def _check_session_source(self, ctx: AccessContext) -> None:
+        if ctx.src_zone not in self.zones or ctx.src_zone in ENCLAVE_ZONES:
+            raise UnknownEndpoint(f"session source zone {ctx.src_zone!r}")
 
     def _resolve_endpoint(self, label: str) -> _Endpoint | None:
         vm = self.vms.get(label)
@@ -528,8 +547,7 @@ class Enclave:
         ctx: AccessContext | None = None
         if isinstance(src, AccessContext):
             ctx = src
-            if ctx.src_zone not in self.zones or ctx.src_zone in ENCLAVE_ZONES:
-                raise UnknownEndpoint(f"session source zone {ctx.src_zone!r}")
+            self._check_session_source(ctx)
             src_zone, src_label, src_ep = ctx.src_zone, ctx.src_zone, None
         elif isinstance(src, str) and src in self.zones:
             src_zone, src_label, src_ep = src, src, None
@@ -553,11 +571,10 @@ class Enclave:
         if not dst_inside:
             if not src_inside:
                 return allow("outside-enclave", [src_label, dst_ep.id])
-            rule = self._match_exception(src_label, src_zone, dst_ep, service,
-                                         RuleDirection.OUTBOUND)
-            if rule is not None:
-                return allow(f"exception:{rule.id}",
-                             [src_label, f"exception:{rule.id}", dst_ep.id])
+            via = self._match_exception(src_label, src_zone, dst_ep, service,
+                                        RuleDirection.OUTBOUND)
+            if via is not None:
+                return via
             if (dst_ep.kind == "origin" and service in ("http", "https")
                     and effective_project is not None
                     and dst_ep.id in self._policy.proxy_whitelist_of(effective_project)):
@@ -570,45 +587,30 @@ class Enclave:
                     and src_ep.project_id == dst_ep.project_id
                     and src_ep.project_id is not None):
                 return allow("intra-zone", [src_label, src_zone, dst_ep.id])
-            rule = self._match_exception(src_label, src_zone, dst_ep, service,
-                                         RuleDirection.INBOUND)
-            if rule is not None:
-                return allow(f"exception:{rule.id}",
-                             [src_label, f"exception:{rule.id}", dst_ep.id])
+            via = self._match_exception(src_label, src_zone, dst_ep, service,
+                                        RuleDirection.INBOUND)
+            if via is not None:
+                return via
             if src_ep is not None and src_zone == dst_ep.zone:
                 return deny("project-isolation")
             return deny("zone-isolation")
 
         # outside -> inside: one gateway with a matching session, or an exception
-        failure = None
+        reason = None
         if ctx is not None:
-            admitting = [self.gateways[g] for g in sorted(self.gateways)
-                         if self.gateways[g].admits_to == dst_ep.zone]
-            for g in admitting:
-                if not g.admits_service(service):
-                    failure = failure or "service-not-admitted"
-                    continue
-                if g.required_mode != ctx.mode:
-                    failure = failure or "mode-mismatch"
-                    continue
-                if ctx.mode not in ctx.authorized_modes:
-                    failure = failure or "not-authorized"
-                    continue
-                if dst_ep.project_id != ctx.project_id:
-                    failure = failure or "host-acl"
-                    continue
-                return allow(f"gateway:{g.id}", [src_label, g.id, dst_ep.zone, dst_ep.id])
-            if failure is None and not admitting:
-                failure = "no-gateway"
-        rule = self._match_exception(src_label, src_zone, dst_ep, service,
-                                     RuleDirection.INBOUND)
-        if rule is not None:
-            return allow(f"exception:{rule.id}",
-                         [src_label, f"exception:{rule.id}", dst_ep.id])
-        return deny(failure or "no-direct-ingress")
+            gateway, reason = self.session_gateway(ctx, dst_ep.zone, dst_ep.project_id,
+                                                   service)
+            if gateway is not None:
+                return allow(reason, [src_label, gateway.id, dst_ep.zone, dst_ep.id])
+        via = self._match_exception(src_label, src_zone, dst_ep, service,
+                                    RuleDirection.INBOUND)
+        if via is not None:
+            return via
+        return deny(reason or "no-direct-ingress")
 
     def _match_exception(self, src_label: str, src_zone: str, dst_ep: _Endpoint,
-                         service: str, direction: RuleDirection) -> ExceptionRule | None:
+                         service: str, direction: RuleDirection) -> Decision | None:
+        """The verdict of the first rule by id that admits the flow, if any."""
         for rid in sorted(self.exceptions):
             rule = self.exceptions[rid]
             if rule.direction is not direction or rule.service != service:
@@ -617,7 +619,8 @@ class Enclave:
                 continue
             if rule.dst not in (dst_ep.id, dst_ep.zone):
                 continue
-            return rule
+            via = f"exception:{rule.id}"
+            return allow(via, [src_label, via, dst_ep.id])
         return None
 
     # -- proxy ----------------------------------------------------------------------

@@ -175,7 +175,7 @@ class ComplianceReport:
 # Actions a report only counts: their times are all it reads of them.
 _COUNTED = frozenset({"egress-allow", "egress-deny", "grant", "revoke"})
 # Every action a report reads anything of.
-_REPORTED = _COUNTED | {"map", "traverse", "provision", "destroy", "project-create"}
+_REPORTED = _COUNTED | {"map", "traverse", "provision", "destroy"}
 
 
 @dataclass(slots=True)
@@ -189,13 +189,11 @@ class _ProjectTimes:
     exception_traversals: list[int] = field(default_factory=list)
     provisioned: dict[str, int] = field(default_factory=dict)  # vm -> last provision
     destroyed: dict[str, int] = field(default_factory=dict)    # vm -> first destroy
-    stewards: set[str] = field(default_factory=set)
 
 
 @dataclass(slots=True)
 class _MappingSpan:
     # One arbitrary-user tenure: from the session's map event until its close.
-    session_id: str
     principal: str
     start: int
     end: int | None = None
@@ -213,7 +211,7 @@ class AuditLedger:
         # decreases, so each list is sorted and a report bisects it.
         self._by_session: dict[str, list[AuditEvent]] = {}
         self._project_times: dict[str, _ProjectTimes] = {}
-        self._projects: set[str] = set()
+        self._projects: dict[str, tuple[str, ...]] = {}  # project -> stewards, sorted
         self._affiliates: set[str] = set()
         self._spans: dict[str, list[_MappingSpan]] = {}
         # The span of each open session; it leaves at the session's close.
@@ -252,13 +250,10 @@ class AuditLedger:
                 and "netid" in event.detail):
             self._affiliates.add(event.detail["netid"])
         elif event.action == "project-create":
-            self._projects.add(event.object)
+            self._projects[event.object] = tuple(
+                s for s in event.detail.get("stewards", "").split(",") if s)
         elif event.action == "map":
-            span = _MappingSpan(
-                session_id=event.object,
-                principal=event.detail["principal"],
-                start=event.at,
-            )
+            span = _MappingSpan(principal=event.detail["principal"], start=event.at)
             self._spans.setdefault(event.detail["arbitrary_user"], []).append(span)
             self._span_by_session[event.object] = span
         elif event.action in ("close", "revoke-forced-close"):
@@ -282,10 +277,8 @@ class AuditLedger:
                 times.exception_traversals.append(at)
         elif action == "provision":
             times.provisioned[event.object] = at
-        elif action == "destroy":
+        else:  # destroy
             times.destroyed.setdefault(event.object, at)
-        else:  # project-create
-            times.stewards.update(s for s in detail.get("stewards", "").split(",") if s)
 
     # -- reading -----------------------------------------------------------
 
@@ -385,5 +378,6 @@ class AuditLedger:
             revokes=_count(counted.get("revoke", empty), start, end),
             efficiency_flags=flags,
             # Affiliates acting as stewards are permitted but surfaced for review.
-            affiliate_stewards=sorted(times.stewards & self._affiliates),
+            affiliate_stewards=[s for s in self._projects[project_id]
+                                if s in self._affiliates],
         )

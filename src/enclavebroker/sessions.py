@@ -61,7 +61,6 @@ class AuthOutcome(str, Enum):
 @dataclass
 class ArbitraryUser:
     name: str
-    vm_id: str
     shadow_groups: set[str] = field(default_factory=set)
 
 
@@ -236,55 +235,48 @@ class SessionBroker:
             if other.principal == netid and other.project_id == project_id:
                 raise SessionAlreadyOpen(other.id)
 
-        service = MODE_SERVICE[mode]
-        binding = self._bindings.get((netid, project_id))
-        vm = None
-        reused = False
-        if binding is not None:
-            candidate = self._enclave.vm(binding.vm_id)
-            if candidate.state is VmState.DESTROYED:
-                if require_binding:
-                    raise VmUnavailable(binding.vm_id)
-                del self._bindings[(netid, project_id)]
-            elif now > binding.retained_until:
-                if require_binding:
-                    raise RetentionExpired(f"retained until {binding.retained_until}")
-                # Lazily reclaim: an expired machine is never reused.
-                del self._bindings[(netid, project_id)]
-                self._enclave.destroy_vm(binding.vm_id)
-                self._ledger.append("broker", "retention-expire", binding.vm_id, {
-                    "project": project_id,
-                    "principal": netid,
-                    "vm": binding.vm_id,
-                })
-            else:
-                vm = candidate
-                reused = True
-        elif require_binding:
-            raise RetentionExpired(f"no retained vm for {netid} on {project_id}")
-
-        if vm is None:
-            if self._enclave.find_gateway(project.zone, mode, service) is None:
-                raise NoPath(f"no {mode.value} gateway admits to {project.zone}")
-            vm = self._enclave.provision_vm(project_id, project.zone,
-                                            DEFAULT_VM_CPU, DEFAULT_VM_RAM)
-            arbitrary = ArbitraryUser(name=self._mint_name(), vm_id=vm.id)
-            self._vm_users[vm.id] = arbitrary
+        key = (netid, project_id)
+        binding = self._bindings.get(key)
+        retained = None
+        if binding is None:
+            if require_binding:
+                raise RetentionExpired(f"no retained vm for {netid} on {project_id}")
+        elif self._enclave.vm(binding.vm_id).state is VmState.DESTROYED:
+            if require_binding:
+                raise VmUnavailable(binding.vm_id)
+        elif now > binding.retained_until:
+            if require_binding:
+                raise RetentionExpired(f"retained until {binding.retained_until}")
         else:
-            del self._bindings[(netid, project_id)]
+            retained = self._enclave.vm(binding.vm_id)
+
+        # One gateway rule for fresh and retained VMs, decided before anything
+        # changes. check_access admitted this mode above.
+        service = MODE_SERVICE[mode]
+        ctx = AccessContext(src_zone=src_zone, mode=mode, project_id=project_id,
+                            authorized_modes=frozenset({mode}))
+        gateway, reason = self._enclave.session_gateway(ctx, project.zone, project_id,
+                                                        service)
+        if gateway is None:
+            raise NoPath(reason)
+
+        if retained is not None:
+            del self._bindings[key]
+            vm = retained
             vm.state = VmState.RUNNING
             # The arbitrary-user name persists with the retained VM so file
             # ownership on the disk stays coherent; only the secret is new.
             arbitrary = self._vm_users[vm.id]
-
-        # check_access admitted this mode above, and no grant changed since.
-        ctx = AccessContext(src_zone=src_zone, mode=mode, project_id=project_id,
-                            authorized_modes=frozenset({mode}))
-        path = self._enclave.is_reachable(ctx, vm.id, service)
-        if not path.allowed:
-            if not reused:
-                self._enclave.destroy_vm(vm.id)
-            raise NoPath(path.reason)
+        else:
+            if binding is not None:
+                if self._enclave.vm(binding.vm_id).state is VmState.DESTROYED:
+                    del self._bindings[key]
+                else:
+                    self._reclaim(key)  # lazily: an expired machine is never reused
+            vm = self._enclave.provision_vm(project_id, project.zone,
+                                            DEFAULT_VM_CPU, DEFAULT_VM_RAM)
+            arbitrary = ArbitraryUser(name=self._mint_name())
+            self._vm_users[vm.id] = arbitrary
 
         self._session_seq += 1
         session_id = f"s-{self._session_seq:06d}"
@@ -314,7 +306,7 @@ class SessionBroker:
             "vm": vm.id,
             "mode": mode.value,
             "project": project_id,
-            "resumed": "true" if reused else "false",
+            "resumed": "false" if retained is None else "true",
         })
 
         self.align_groups(session_id)
@@ -328,8 +320,8 @@ class SessionBroker:
             "project": project_id,
         })
 
-        view = ClientView(session_id=session_id, vm_id=vm.id,
-                          gateway_path=tuple(path.path), mode=mode.value)
+        view = ClientView(session_id=session_id, vm_id=vm.id, mode=mode.value,
+                          gateway_path=(src_zone, gateway.id, vm.zone, vm.id))
         return session, view
 
     def _attached_shares(self, project: Project, netid: str) -> list[str]:
@@ -447,16 +439,19 @@ class SessionBroker:
         reclaimed = []
         for key in sorted(self._bindings):
             binding = self._bindings[key]
-            if binding.retained_until >= now:
-                continue
-            del self._bindings[key]
-            vm = self._enclave.vm(binding.vm_id)
-            if vm.state is not VmState.DESTROYED:
-                self._enclave.destroy_vm(binding.vm_id)
+            if binding.retained_until < now and self._reclaim(key):
                 reclaimed.append(binding.vm_id)
-            self._ledger.append("broker", "retention-expire", binding.vm_id, {
-                "project": binding.project_id,
-                "principal": binding.principal,
-                "vm": binding.vm_id,
-            })
         return reclaimed
+
+    def _reclaim(self, key: tuple[str, str]) -> bool:
+        """Drop an expired binding and destroy its VM; False if it was gone."""
+        binding = self._bindings.pop(key)
+        standing = self._enclave.vm(binding.vm_id).state is not VmState.DESTROYED
+        if standing:
+            self._enclave.destroy_vm(binding.vm_id)
+        self._ledger.append("broker", "retention-expire", binding.vm_id, {
+            "project": binding.project_id,
+            "principal": binding.principal,
+            "vm": binding.vm_id,
+        })
+        return standing

@@ -16,6 +16,7 @@ from enclavebroker.errors import (
     RetentionExpired,
     SessionAlreadyClosed,
     SessionAlreadyOpen,
+    UnknownEndpoint,
     UnmanagedEndpoint,
     VmUnavailable,
 )
@@ -245,6 +246,71 @@ class TestAuthenticateToVm:
         assert broker.sessions.authenticate_to_vm("0" * 32, session.vm_id) is AuthOutcome.REJECTED
 
 
+def _sign_in(broker, netid: str, *modes: str) -> None:
+    """Grant ``netid`` the modes on ``study`` and pass MFA, through the op
+    table as a wire client would."""
+    for mode in modes:
+        broker.op("grant_access", {"actor": "stw1", "project": "study", "netid": netid,
+                                   "mode": mode})
+    broker.op("verify_mfa", {"netid": netid, "proof": f"mfa-{netid}"})
+
+
+def _op_open(broker, netid: str, mode: str = "rdp", op: str = "open_session", **args):
+    return broker.op(op, {"netid": netid, "project": "study", "mode": mode, **args})
+
+
+def _footprint(broker):
+    """Everything a refused open could leave behind."""
+    return ({vm.id: vm.state for vm in broker.enclave.vms.values()},
+            [(h.used_cpu, h.used_ram) for h in broker.enclave.hosts.values()],
+            len(broker.ledger), dict(broker.sessions._vm_users))
+
+
+class TestRefusedOpenChangesNothing:
+    @pytest.mark.parametrize("src_zone", ["protected-vrf", "nowhere"])
+    def test_open_from_a_bad_source_zone(self, broker, src_zone):
+        _sign_in(broker, "res1", "rdp")
+        before = _footprint(broker)
+        with pytest.raises(UnknownEndpoint) as refused:
+            _op_open(broker, "res1", src_zone=src_zone)
+        assert refused.value.code == "unknown-endpoint"
+        assert _footprint(broker) == before
+
+    def test_resume_from_a_bad_source_zone_keeps_the_retained_vm(self, broker):
+        _sign_in(broker, "res1", "rdp")
+        opened = _op_open(broker, "res1")
+        broker.op("close_session", {"session": opened["session_id"]})
+        with pytest.raises(UnknownEndpoint):
+            _op_open(broker, "res1", op="resume_session", src_zone="nowhere")
+        assert broker.sessions.binding("res1", "study").vm_id == opened["vm_id"]
+        assert broker.enclave.vm(opened["vm_id"]).state is VmState.RETAINED
+        broker.op("advance", {"seconds": 31 * DAY})
+        assert broker.op("expire_retained") == {"reclaimed": [opened["vm_id"]]}
+        assert all((h.used_cpu, h.used_ram) == (0, 0)
+                   for h in broker.enclave.hosts.values())
+
+    def test_retained_vm_enters_by_the_gateway_rule_only(self, broker):
+        """A retained VM whose new mode has no gateway is refused as a fresh
+        one is, even where an exception rule would admit the service."""
+        _sign_in(broker, "res1", "vpn", "rdp")
+        _sign_in(broker, "res2", "rdp")
+        opened = _op_open(broker, "res1", "vpn", endpoint_managed=True)
+        broker.op("close_session", {"session": opened["session_id"]})
+        del broker.enclave.gateways["gw-research-jump"]
+        broker.op("register_exception", {"actor": "admin1", "service": "rdp",
+                                         "src": "internet", "dst": "research-subnet",
+                                         "documented_by": "vendor support"})
+        with pytest.raises(NoPath) as fresh:
+            _op_open(broker, "res2")
+        before = _footprint(broker)
+        with pytest.raises(NoPath) as retained:
+            _op_open(broker, "res1")
+        assert str(retained.value) == str(fresh.value) == "mode-mismatch"
+        assert _footprint(broker) == before
+        assert broker.sessions.binding("res1", "study").vm_id == opened["vm_id"]
+        assert broker.enclave.vm(opened["vm_id"]).state is VmState.RETAINED
+
+
 class TestCloseAndRetention:
     def test_close_retains_vm_and_destroys_credential(self, broker):
         session, _ = open_rdp(broker)
@@ -349,8 +415,9 @@ class TestLiveStateOnly:
         """Soak: after each step of a loadgen replay the broker holds one
         session, credential, secret, active user and ledger span per open
         session, at most one open session per principal and project, one
-        binding per retained VM, and one arbitrary user per VM not yet
-        destroyed; at the end, none."""
+        binding per retained VM, one arbitrary user per VM not yet
+        destroyed, and no running VM without an open session; at the end,
+        none."""
         topology = tmp_path / "topology.json"
         topology.write_text(json.dumps(build_topology(host_cpu=1024, host_ram=4096)))
         directory = tmp_path / "directory.json"
@@ -378,6 +445,8 @@ class TestLiveStateOnly:
             assert len(held._credentials) == len(held._by_secret) == len(open_ids)
             assert len(held._active_by_user) == len(open_ids)
             assert set(held._vm_users) == live_vms
+            assert {vm.id for vm in broker.enclave.vms.values()
+                    if vm.state is VmState.RUNNING} == {s.vm_id for s in held._open.values()}
         assert held._session_seq == 400
         assert not open_ids and not live_vms and not held._bindings
 
