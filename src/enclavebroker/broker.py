@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 from .clock import SimClock
 from .egress import EgressControl
-from .enclave import AccessContext, Enclave, INTERNET, RuleDirection
+from .enclave import AccessContext, Enclave, RuleDirection
 from .errors import BadRequest, MfaRequired, Unauthorized, UnknownOp
 from .identity import (
     Affiliation,
@@ -24,9 +24,9 @@ from .identity import (
     GroupKind,
 )
 from .ledger import AuditLedger
-from .model import AccessMode, Decision, Tier
+from .model import INTERNET, PROTECTED_VRF, AccessMode, Decision, Tier
 from .pipeline import DeliveryPipeline
-from .policy import PROTECTED_VRF, PolicyEngine
+from .policy import PolicyEngine
 from .sessions import SessionBroker
 
 REQUIRED = object()  # the default of an argument a request must carry
@@ -310,10 +310,6 @@ class Broker:
             if isinstance(out, str):
                 return {out: result}
             return out(result)
-
-    @property
-    def op_names(self) -> list[str]:
-        return sorted(OPS)
 
     # -- op targets that shape their result or hold broker state -------------------
 

@@ -136,11 +136,6 @@ class EgressControl:
             raise UnknownExportRequest(request_id)
         return request
 
-    def pending_requests(self, project_id: str | None = None) -> list[ExportRequest]:
-        return [r for _, r in sorted(self._requests.items())
-                if r.status is ExportStatus.PENDING
-                and (project_id is None or r.project_id == project_id)]
-
     def adjudicate_export(self, broker: str, request_id: str, verdict: str,
                           rationale: str) -> ExportRequest:
         request = self.request(request_id)

@@ -42,18 +42,18 @@ from .errors import (
 )
 from .identity import Directory
 from .ledger import AuditLedger
-from .model import AccessMode, Decision, allow, deny
+from .model import (
+    ENCLAVE_ZONES,
+    INTERNET,
+    PROTECTED_VRF,
+    RESEARCH_SUBNET,
+    ZONE_IDS,
+    AccessMode,
+    Decision,
+    allow,
+    deny,
+)
 from .policy import PolicyEngine
-
-INTERNET = "internet"
-CAMPUS = "campus"
-PROTECTED_VRF = "protected-vrf"
-RESEARCH_SUBNET = "research-subnet"
-MANAGEMENT = "management"
-
-ZONE_IDS = (INTERNET, CAMPUS, PROTECTED_VRF, RESEARCH_SUBNET, MANAGEMENT)
-ENCLAVE_ZONES = frozenset({PROTECTED_VRF, RESEARCH_SUBNET})
-OUTSIDE_ZONES = frozenset({INTERNET, CAMPUS, MANAGEMENT})
 
 DEFAULT_SERVICES = frozenset(
     {"cifs", "iscsi", "rdp", "ssh", "http", "https", "patching", "monitoring"}

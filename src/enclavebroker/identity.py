@@ -164,28 +164,6 @@ class Directory:
             raise UnknownUser(netid)
         return user
 
-    def validate(self) -> list[str]:
-        """Directory consistency pass; returns human-readable issues."""
-        issues = []
-        for netid in sorted(self._users):
-            user = self._users[netid]
-            if user.affiliation is Affiliation.AFFILIATE:
-                sponsor = self._users.get(user.sponsor or "")
-                if sponsor is None:
-                    issues.append(f"{netid}: sponsor missing")
-                elif sponsor.affiliation is not Affiliation.MEMBER:
-                    issues.append(f"{netid}: sponsor is not a member")
-                elif user.active and not sponsor.active:
-                    issues.append(f"{netid}: active affiliate with inactive sponsor")
-        for name in sorted(self._groups):
-            group = self._groups[name]
-            if group.kind is GroupKind.SHADOW:
-                continue
-            for member in sorted(group.members):
-                if member not in self._users:
-                    issues.append(f"group {name}: member {member} not in directory")
-        return issues
-
     # -- federation ------------------------------------------------------------
 
     def add_trusted_issuer(self, issuer: str) -> None:
@@ -303,7 +281,3 @@ class Directory:
         shadow = self._groups.get(SHADOW_PREFIX + group_name)
         if shadow is not None:
             shadow.members.discard(arbitrary_user)
-
-    def shadow_members(self, group_name: str) -> set[str]:
-        shadow = self._groups.get(SHADOW_PREFIX + group_name)
-        return set(shadow.members) if shadow else set()

@@ -1,9 +1,18 @@
-"""Shared value types: access modes, classification tiers, and decisions."""
+"""Shared value types: zone ids, access modes, classification tiers, and decisions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+
+INTERNET = "internet"
+CAMPUS = "campus"
+PROTECTED_VRF = "protected-vrf"
+RESEARCH_SUBNET = "research-subnet"
+MANAGEMENT = "management"
+
+ZONE_IDS = (INTERNET, CAMPUS, PROTECTED_VRF, RESEARCH_SUBNET, MANAGEMENT)
+ENCLAVE_ZONES = frozenset({PROTECTED_VRF, RESEARCH_SUBNET})
 
 
 class AccessMode(str, Enum):

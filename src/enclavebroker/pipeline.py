@@ -4,6 +4,12 @@ The image state machine is strict: drafted -> vetted -> approved -> deployed,
 with revocation reachable from anywhere. There is deliberately no operation
 that mutates a deployed instance in place; updating means pushing a new
 image through the whole pipeline and replacing the instance.
+
+Deploy and update share one placement path, so an image is deployed at most
+once and only onto a running VM. An instance is live while it is not retired
+and its VM is not destroyed. An update refuses a retired instance
+(wrong-state) and a VM that is not running (invalid-spec); revoking an image
+tears down its instance if that instance is live.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .clock import SimClock
-from .enclave import ENCLAVE_ZONES, Enclave, VmState
+from .enclave import Enclave, VmState
 from .errors import (
     DigestMismatch,
     EmptyReport,
@@ -27,6 +33,7 @@ from .errors import (
 )
 from .identity import Directory
 from .ledger import AuditLedger
+from .model import ENCLAVE_ZONES
 from .policy import PolicyEngine
 
 VETTER_GROUP = "vetters"
@@ -53,6 +60,9 @@ class ContainerImage:
     project_id: str
     vetter: str | None = None
     approver: str | None = None
+    # Deploy and update both place only an approved image, and placing it
+    # makes it deployed, so an image has at most one instance.
+    instance: str | None = None
 
     def to_wire(self) -> dict:
         return {
@@ -189,28 +199,7 @@ class DeliveryPipeline:
             vm = self._enclave.vm(vm_id)
             if vm.zone not in ENCLAVE_ZONES or vm.project_id != project_id:
                 raise InvalidSpec(f"{vm_id} is not an enclave VM of {project_id}")
-            if vm.state is not VmState.RUNNING:
-                raise InvalidSpec(f"{vm_id} is not running")
-        instance = self._new_instance(image, vm.id)
-        self._ledger.append(operator, "image-deploy", image.id, {
-            "project": project_id,
-            "instance": instance.id,
-            "vm": vm.id,
-            "digest": image.digest,
-        })
-        return instance
-
-    def _new_instance(self, image: ContainerImage, vm_id: str) -> DeployedInstance:
-        self._instance_seq += 1
-        instance = DeployedInstance(
-            id=f"inst-{self._instance_seq:04d}",
-            image_id=image.id,
-            vm_id=vm_id,
-            deployed_at=self._clock.now,
-        )
-        self._instances[instance.id] = instance
-        image.state = ImageState.DEPLOYED
-        return instance
+        return self._place(operator, image, vm.id)
 
     def update_deployment(self, operator: str, instance_id: str,
                           new_image_id: str) -> DeployedInstance:
@@ -223,15 +212,36 @@ class DeliveryPipeline:
         old_image = self.image(old.image_id)
         if new_image.project_id != old_image.project_id:
             raise WrongState("replacement image targets a different project")
-        old.retired = True
-        instance = self._new_instance(new_image, old.vm_id)
-        self._ledger.append(operator, "image-deploy", new_image.id, {
-            "project": new_image.project_id,
+        if old.retired:
+            raise WrongState(f"{instance_id} is retired")
+        return self._place(operator, new_image, old.vm_id, replaces=old)
+
+    def _place(self, operator: str, image: ContainerImage, vm_id: str,
+               replaces: DeployedInstance | None = None) -> DeployedInstance:
+        """Deploy ``image`` onto ``vm_id``, retiring ``replaces`` on an update.
+        A refusal changes nothing."""
+        if self._enclave.vm(vm_id).state is not VmState.RUNNING:
+            raise InvalidSpec(f"{vm_id} is not running")
+        self._instance_seq += 1
+        instance = DeployedInstance(
+            id=f"inst-{self._instance_seq:04d}",
+            image_id=image.id,
+            vm_id=vm_id,
+            deployed_at=self._clock.now,
+        )
+        self._instances[instance.id] = instance
+        image.state = ImageState.DEPLOYED
+        image.instance = instance.id
+        detail = {
+            "project": image.project_id,
             "instance": instance.id,
-            "vm": old.vm_id,
-            "digest": new_image.digest,
-            "replaces": old.id,
-        })
+            "vm": vm_id,
+            "digest": image.digest,
+        }
+        if replaces is not None:
+            replaces.retired = True
+            detail["replaces"] = replaces.id
+        self._ledger.append(operator, "image-deploy", image.id, detail)
         return instance
 
     def revoke_image(self, actor: str, image_id: str) -> ContainerImage:
@@ -239,14 +249,13 @@ class DeliveryPipeline:
         if not self._directory.is_admin(actor):
             raise Unauthorized(f"{actor} is not a platform administrator")
         image.state = ImageState.REVOKED
-        torn_down = []
-        for iid in sorted(self._instances):
-            instance = self._instances[iid]
-            if instance.image_id == image_id and not instance.retired:
-                instance.retired = True
-                torn_down.append(iid)
+        instance = self._instances.get(image.instance)
+        live = (instance is not None and not instance.retired
+                and self._enclave.vm(instance.vm_id).state is not VmState.DESTROYED)
+        if live:
+            instance.retired = True
         self._ledger.append(actor, "image-revoke", image_id, {
             "project": image.project_id,
-            "instances": ",".join(torn_down),
+            "instances": instance.id if live else "",
         })
         return image

@@ -27,9 +27,7 @@ from .errors import (
 )
 from .identity import AuthenticatedPrincipal, Directory, Group, GroupKind
 from .ledger import AuditLedger
-from .model import AccessMode, Decision, Tier, allow, deny
-
-PROTECTED_VRF = "protected-vrf"
+from .model import ENCLAVE_ZONES, PROTECTED_VRF, AccessMode, Decision, Tier, allow, deny
 
 # The access mode whose grants an access-mode group holds.
 _GROUP_MODE = {GroupKind.ACCESS_VPN: AccessMode.VPN, GroupKind.ACCESS_RDP: AccessMode.RDP}
@@ -107,7 +105,7 @@ class PolicyEngine:
         for name in sorted(role_rules):
             if not self._directory.has_group(name):
                 raise UnknownGroup(f"role rule {name}")
-        if zone not in ("protected-vrf", "research-subnet"):
+        if zone not in ENCLAVE_ZONES:
             raise InvalidSpec(f"project zone must be an enclave zone, not {zone!r}")
         vpn_group = f"{project_id}-vpn"
         rdp_group = f"{project_id}-rdp"

@@ -15,11 +15,12 @@ to a VM never carry the real principal's identity.
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .clock import SimClock
-from .enclave import AccessContext, Enclave, INTERNET, VmState
+from .enclave import AccessContext, Enclave, VmState
 from .errors import (
     AccessDenied,
     BrokerError,
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .identity import AuthenticatedPrincipal, Directory
 from .ledger import AuditLedger
-from .model import AccessMode
+from .model import INTERNET, AccessMode
 from .policy import PolicyEngine, Project
 
 DAY = 86400
@@ -164,9 +165,6 @@ class SessionBroker:
     def binding(self, principal: str, project_id: str) -> RetentionBinding | None:
         return self._bindings.get((principal, project_id))
 
-    def open_sessions(self) -> list[Session]:
-        return sorted(self._open.values(), key=lambda s: s.id)
-
     # -- naming and secrets -------------------------------------------------------
 
     def _mint_name(self) -> str:
@@ -177,8 +175,13 @@ class SessionBroker:
                 return name
 
     def _mint_secret(self) -> str:
-        # 128 random bits: a collision is not worth a set of every secret.
-        return f"{self._rng.getrandbits(128):032x}"
+        # 128 bits from the OS: a collision is not worth a set of every
+        # secret. The seeded stream can be read back from the export and from
+        # disk tokens, so it must not decide a secret. Its draw is still made
+        # and thrown away, so that every later name, disk token and release
+        # token, and so the export, stay as they are.
+        self._rng.getrandbits(128)
+        return secrets.token_hex(16)
 
     def mint_credential(self, arbitrary_user: str, session_id: str) -> EphemeralCredential:
         if arbitrary_user in self._active_by_user:

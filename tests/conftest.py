@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from enclavebroker import Broker
-from enclavebroker.identity import GroupKind
+from enclavebroker.identity import SHADOW_PREFIX, Affiliation, GroupKind
 
 ZONES = [
     ("internet", None),
@@ -61,6 +61,38 @@ def open_rdp(broker: Broker, netid: str = "res1", project: str = "study"):
         broker.policy.grant_access(steward, project, netid, "rdp")
     principal = authenticate(broker, netid)
     return broker.sessions.open_session(principal, project, "rdp", False)
+
+
+def open_sessions(broker: Broker) -> list:
+    """The broker's open sessions in id order."""
+    return sorted(broker.sessions._open.values(), key=lambda s: s.id)
+
+
+def shadow_members(broker: Broker, group_name: str) -> set[str]:
+    shadow = broker.directory.group(SHADOW_PREFIX + group_name)
+    return set(shadow.members) if shadow else set()
+
+
+def directory_issues(directory) -> list[str]:
+    """Directory consistency pass; returns human-readable issues."""
+    issues = []
+    for netid in directory.netids():
+        user = directory.user(netid)
+        if user.affiliation is Affiliation.AFFILIATE:
+            sponsor = directory.user(user.sponsor or "")
+            if sponsor is None:
+                issues.append(f"{netid}: sponsor missing")
+            elif sponsor.affiliation is not Affiliation.MEMBER:
+                issues.append(f"{netid}: sponsor is not a member")
+            elif user.active and not sponsor.active:
+                issues.append(f"{netid}: active affiliate with inactive sponsor")
+    for name, group in sorted(directory._groups.items()):
+        if group.kind is GroupKind.SHADOW:
+            continue
+        for member in sorted(group.members):
+            if not directory.has_user(member):
+                issues.append(f"group {name}: member {member} not in directory")
+    return issues
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from conftest import make_broker
+from enclavebroker.broker import OPS
 from enclavebroker.errors import AssertionExpired, BrokerError
 
 # What one pass over every op returns, in order, on make_broker(seed=7).
@@ -234,7 +235,7 @@ def drive_every_op(broker) -> dict:
 def test_every_op_once_through_the_boundary():
     broker = make_broker(seed=7)
     results = drive_every_op(broker)
-    assert sorted(results) == broker.op_names
+    assert sorted(results) == sorted(OPS)
     trace = results["reconstruct_session"]
     results["reconstruct_session"] = {"session": trace["session"],
                                       "actions": [e["action"] for e in trace["events"]]}
@@ -251,7 +252,7 @@ def test_every_op_once_through_the_boundary():
 
 
 def test_required_arguments_match_the_declared_ones():
-    assert sorted(REQUIRED) == make_broker().op_names
+    assert sorted(REQUIRED) == sorted(OPS)
 
 
 @pytest.mark.parametrize("op,dropped", [

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from enclavebroker.broker import OPS
 from enclavebroker.cli import _client_payload, build_parser, main
 from enclavebroker.configio import (
     Scenario,
@@ -386,7 +387,7 @@ class TestWireService:
         assert concurrent == sequential
 
     def test_every_wire_op_maps_to_one_module_operation(self, server):
-        ops = set(server.broker.op_names)
+        ops = set(OPS)
         # Spot-check the contract: session opening exists exactly once and
         # no op name suggests a policy bypass.
         assert "open_session" in ops

@@ -13,7 +13,7 @@ from enclavebroker.errors import (
     Unauthorized,
     UnknownSession,
 )
-from enclavebroker.egress import decide_clipboard, decide_file
+from enclavebroker.egress import ExportStatus, decide_clipboard, decide_file
 from enclavebroker.model import AccessMode, Verdict
 
 from conftest import authenticate, open_rdp
@@ -104,7 +104,9 @@ class TestExport:
         first = broker.egress.submit_export(session.id, "results.tar")
         second = broker.egress.submit_export(session.id, "results.tar")
         assert first.id != second.id
-        assert len(broker.egress.pending_requests("study")) == 2
+        pending = [r for r in broker.egress._requests.values()
+                   if r.status is ExportStatus.PENDING and r.project_id == "study"]
+        assert len(pending) == 2
 
     def test_broker_approves_with_token(self, broker):
         session, _ = open_rdp(broker)

@@ -18,7 +18,7 @@ from enclavebroker.errors import (
 )
 from enclavebroker.identity import Affiliation, FederatedAssertion, GroupKind
 
-from conftest import authenticate
+from conftest import authenticate, directory_issues
 
 
 class TestRegisterUser:
@@ -79,7 +79,7 @@ class TestRegisterUser:
                 sponsor = broker.directory.user(user.sponsor)
                 assert sponsor is not None
                 assert sponsor.affiliation is Affiliation.MEMBER
-        assert broker.directory.validate() == []
+        assert directory_issues(broker.directory) == []
 
 
 class TestFederation:

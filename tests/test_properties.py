@@ -18,7 +18,7 @@ from enclavebroker.loadgen import build_directory, build_scenario, build_topolog
 from enclavebroker.model import AccessMode
 from enclavebroker.sessions import DAY, AuthOutcome
 
-from conftest import authenticate, make_broker
+from conftest import authenticate, make_broker, open_sessions, shadow_members
 from oracles import bfs_reachable, recount_report
 from topogen import engine_answer, random_topology
 
@@ -233,13 +233,13 @@ class SessionLifecycle(RuleBasedStateMachine):
             for (sid, _, _) in self.open.values()
         }
         for group in ("study-rdp", "study-vpn"):
-            for member in self.broker.directory.shadow_members(group):
+            for member in shadow_members(self.broker, group):
                 assert member in open_aliases
 
     @invariant()
     def open_index_matches_history(self):
         expected = sorted(sid for (sid, _, _) in self.open.values())
-        assert [s.id for s in self.broker.sessions.open_sessions()] == expected
+        assert [s.id for s in open_sessions(self.broker)] == expected
 
     @invariant()
     def only_live_secrets_are_kept(self):

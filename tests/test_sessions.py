@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from collections import Counter
 
@@ -23,7 +24,7 @@ from enclavebroker.errors import (
 from enclavebroker.loadgen import build_directory, build_scenario, build_topology
 from enclavebroker.sessions import AuthOutcome, DAY, SessionState
 
-from conftest import authenticate, make_broker, open_rdp
+from conftest import authenticate, make_broker, open_rdp, open_sessions, shadow_members
 
 
 class TestOpenSession:
@@ -80,7 +81,7 @@ class TestOpenSession:
             broker.sessions.open_session(principal, "study", "vpn", True)
         with pytest.raises(SessionAlreadyOpen):
             broker.sessions.resume_session(principal, "study", "vpn", True)
-        assert broker.sessions.open_sessions() == [first]
+        assert open_sessions(broker) == [first]
 
     def test_no_gateway_no_path(self):
         b = make_broker()
@@ -118,13 +119,13 @@ class TestOpenSession:
         broker.policy.revoke_access("stw1", "study", "res1", "rdp")
         forced = [e.object for e in broker.ledger.events if e.action == "revoke-forced-close"]
         assert forced == [first.id]
-        assert broker.sessions.open_sessions() == [other]
+        assert open_sessions(broker) == [other]
         broker.enclave.destroy_vm(other.vm_id)
         assert other.state is SessionState.CLOSED
         last = broker.ledger.events[-1]
         assert (last.action, last.object, last.detail["cause"]) == \
             ("close", other.id, "vm-destroyed")
-        assert broker.sessions.open_sessions() == []
+        assert open_sessions(broker) == []
         assert broker.enclave.vm(first.vm_id).state is VmState.RETAINED
 
     def test_revoking_an_unused_mode_leaves_the_session_open(self, broker):
@@ -132,7 +133,7 @@ class TestOpenSession:
         broker.policy.grant_access("stw1", "study", "res1", "vpn")
         broker.policy.revoke_access("stw1", "study", "res1", "vpn")
         assert session.state is SessionState.OPEN
-        assert broker.sessions.open_sessions() == [session]
+        assert open_sessions(broker) == [session]
         assert not any(e.action == "revoke-forced-close" for e in broker.ledger.events)
 
     def test_forced_closes_follow_id_order_past_six_digits(self, broker):
@@ -211,7 +212,7 @@ class TestGroupAlignment:
         session, _ = open_rdp(broker)
         broker.sessions.close_session(session.id)
         for name in ("study-rdp", "study-vpn", "analysts"):
-            assert session.arbitrary_user not in broker.directory.shadow_members(name)
+            assert session.arbitrary_user not in shadow_members(broker, name)
 
 
 class TestAuthenticateToVm:
@@ -449,6 +450,48 @@ class TestLiveStateOnly:
                     if vm.state is VmState.RUNNING} == {s.vm_id for s in held._open.values()}
         assert held._session_seq == 400
         assert not open_ids and not live_vms and not held._bindings
+
+
+class TestSecretsFromTheOs:
+    """The seeded stream is public: the export shows its draws in order.
+    A session secret must not be one of them."""
+
+    @staticmethod
+    def replay_secrets(lines: list[str]) -> dict[str, str]:
+        """Replay random.Random(0) over an export: a provision draws a disk
+        token, a fresh map an arbitrary-user name, a credential-mint a
+        secret. Returns the predicted secret per session."""
+        rng = random.Random(0)
+        predicted = {}
+        for line in lines:
+            event = json.loads(line)
+            if event["action"] == "provision":
+                rng.getrandbits(64)
+            elif event["action"] == "map" and event["detail"]["resumed"] == "false":
+                name = f"u-{rng.getrandbits(32):08x}"
+                assert name == event["detail"]["arbitrary_user"]
+            elif event["action"] == "credential-mint":
+                predicted[event["detail"]["session"]] = f"{rng.getrandbits(128):032x}"
+        return predicted
+
+    def test_export_replay_does_not_predict_another_users_secret(self):
+        broker = make_broker(seed=0)
+        victim, _ = open_rdp(broker, "res1")
+        open_rdp(broker, "res2")
+        lines = broker.op("export_ledger", {})["lines"]
+        guess = self.replay_secrets(lines)[victim.id]
+        answer = broker.op("authenticate_to_vm", {"secret": guess, "vm": victim.vm_id})
+        assert answer == {"outcome": "rejected"}
+
+    def test_one_seed_and_one_history_mint_different_secrets(self):
+        secrets, exports = [], []
+        for _ in range(2):
+            broker = make_broker(seed=0)
+            session, _ = open_rdp(broker)
+            secrets.append(broker.sessions.credential(session.credential_id).secret)
+            exports.append(broker.ledger.export_text())
+        assert secrets[0] != secrets[1]
+        assert exports[0] == exports[1]
 
 
 class TestNonDisclosure:
