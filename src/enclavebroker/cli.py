@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"step {result.index} ({result.op}): {result.detail}",
                       file=sys.stderr)
             print(json.dumps({
-                "steps": len(outcome.results),
+                "steps": outcome.matched + (outcome.failure is not None),
                 "exit": outcome.exit_code,
                 "events": len(broker.ledger),
             }))

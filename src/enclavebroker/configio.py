@@ -211,13 +211,29 @@ class StepResult:
 
 @dataclass
 class RunOutcome:
+    """How a run ended: the exit code, the ledger, the count of steps that
+    matched and the failing step's result, if one failed. It keeps no record
+    per step. ``results`` and ``mismatches`` rebuild the per-step view on
+    demand from ``steps``, the scenario's own list, as it stands when read."""
+
     exit_code: int
-    results: list[StepResult]
     ledger: AuditLedger
+    steps: list[dict]
+    matched: int
+    failure: StepResult | None = None
+
+    @property
+    def results(self) -> list[StepResult]:
+        """One result per step run: the matched steps, then the failure."""
+        results = [StepResult(i, step["op"], True, _matched_detail(step))
+                   for i, step in enumerate(self.steps[:self.matched])]
+        if self.failure is not None:
+            results.append(self.failure)
+        return results
 
     @property
     def mismatches(self) -> list[StepResult]:
-        return [r for r in self.results if not r.ok]
+        return [] if self.failure is None else [self.failure]
 
     @property
     def ledger_text(self) -> str:
@@ -225,44 +241,50 @@ class RunOutcome:
         return self.ledger.export_text()
 
 
+def _matched_detail(step: dict) -> str:
+    """A matched step has a detail only if it expected an error, and then
+    the error it expected is the one it raised."""
+    expect = step.get("expect")
+    return f"expected error {expect['error']}" if expect and "error" in expect else ""
+
+
 def run_scenario(broker: Broker, scenario: Scenario) -> RunOutcome:
-    """Execute steps in order. Exit code 0 on full match, 1 on the first
-    verdict mismatch, 2 on invalid input (an unknown op, or arguments that
-    are missing or ill-typed), 3 on internal error."""
-    results: list[StepResult] = []
-    exit_code = 0
-    for i, step in enumerate(scenario.steps):
+    """Execute steps in order until one fails. Exit code 0 on full match, 1
+    on the first verdict mismatch, 2 on invalid input (an unknown op, an
+    ``expect`` that is not an object, or arguments that are missing or
+    ill-typed), 3 on internal error. Only a failing step gets a
+    ``StepResult``; a matched one is only counted."""
+    steps = scenario.steps
+
+    def failed(exit_code: int, i: int, op, detail: str) -> RunOutcome:
+        return RunOutcome(exit_code, broker.ledger, steps, i,
+                          StepResult(i, op, False, detail))
+
+    for i, step in enumerate(steps):
         op = step["op"]
         args = step.get("args", {})
         expect = step.get("expect")
         if not isinstance(op, str) or op not in OPS:
-            results.append(StepResult(i, op, False, f"unknown op {op!r}"))
-            return RunOutcome(2, results, broker.ledger)
+            return failed(2, i, op, f"unknown op {op!r}")
+        if expect is not None and not isinstance(expect, dict):
+            return failed(2, i, op, f"invalid expect {expect!r}: must be an object")
         try:
             result = broker.op(op, args)
         except BrokerError as exc:
             if expect and expect.get("error") == exc.code:
-                results.append(StepResult(i, op, True, f"expected error {exc.code}"))
                 continue
-            results.append(StepResult(
-                i, op, False, f"unexpected {exc.code}: {exc}"))
-            return RunOutcome(2 if isinstance(exc, BadRequest) else 1, results,
-                              broker.ledger)
+            return failed(2 if isinstance(exc, BadRequest) else 1, i, op,
+                          f"unexpected {exc.code}: {exc}")
         except Exception as exc:  # noqa: BLE001 - fault barrier
-            results.append(StepResult(i, op, False, f"internal error: {exc!r}"))
-            return RunOutcome(3, results, broker.ledger)
+            return failed(3, i, op, f"internal error: {exc!r}")
         if expect:
             if "error" in expect:
-                results.append(StepResult(
-                    i, op, False,
-                    f"expected error {expect['error']!r}, got success {result!r}"))
-                return RunOutcome(1, results, broker.ledger)
+                return failed(1, i, op,
+                              f"expected error {expect['error']!r}, got success {result!r}")
             mismatch = _match_expect(expect, result)
             if mismatch:
-                results.append(StepResult(i, op, False, mismatch))
-                return RunOutcome(1, results, broker.ledger)
-        results.append(StepResult(i, op, True))
-    return RunOutcome(exit_code, results, broker.ledger)
+                return failed(1, i, op, mismatch)
+    return RunOutcome(0, broker.ledger, steps, len(steps))
 
 
 def _match_expect(expect: dict, result) -> str:

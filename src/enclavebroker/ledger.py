@@ -330,8 +330,11 @@ class AuditLedger:
         return [e.export_line() for e in self._events]
 
     def export_text(self) -> str:
+        """Every export line, each ended by a newline. Joined once, so the
+        text is held once: an empty last item gives the final newline."""
         lines = self.export_lines()
-        return "\n".join(lines) + ("\n" if lines else "")
+        lines.append("")
+        return "\n".join(lines)
 
     # -- reports -----------------------------------------------------------
 

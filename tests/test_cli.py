@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import threading
 from pathlib import Path
@@ -10,6 +11,7 @@ from enclavebroker.broker import OPS
 from enclavebroker.cli import _client_payload, build_parser, main
 from enclavebroker.configio import (
     Scenario,
+    StepResult,
     build_broker,
     load_scenario,
     run_scenario,
@@ -81,6 +83,22 @@ class TestLoad:
             build_broker(TOPOLOGY, path)
 
 
+# Two steps that match, one of them by the error it expected, before the
+# step under test.
+PRELUDE = [
+    {"op": "verify_mfa", "args": {"netid": "res1", "proof": "wrong"},
+     "expect": {"error": "mfa-failed"}},
+    {"op": "verify_mfa", "args": {"netid": "res1", "proof": "mfa-res1"}},
+]
+MATCHED = [StepResult(0, "verify_mfa", True, "expected error mfa-failed"),
+           StepResult(1, "verify_mfa", True, "")]
+
+
+def _alive_step_results() -> int:
+    gc.collect()
+    return sum(isinstance(obj, StepResult) for obj in gc.get_objects())
+
+
 class TestRunScenario:
     def test_reference_scenario_exits_zero(self):
         broker = build_broker(TOPOLOGY, DIRECTORY, seed=42)
@@ -140,6 +158,62 @@ class TestRunScenario:
         scenario = Scenario(0, 0, [{"op": "advance", "args": {"seconds": -5},
                                     "expect": {"error": "bad-request"}}])
         assert run_scenario(broker, scenario).exit_code == 0
+
+    @pytest.mark.parametrize("step, exit_code, tail", [
+        ({"op": "verify_chain", "expect": {"ok": True}}, 0,
+         [StepResult(2, "verify_chain", True, ""), StepResult(3, "verify_chain", True, "")]),
+        ({"op": "verify_chain", "expect": {"ok": False}}, 1,
+         [StepResult(2, "verify_chain", False, "expected ok=False, got True")]),
+        ({"op": "verify_mfa", "args": {"netid": "res1", "proof": "wrong"}}, 1,
+         [StepResult(2, "verify_mfa", False, "unexpected mfa-failed: res1")]),
+        ({"op": "verify_chain", "expect": {"error": "mfa-failed"}}, 1,
+         [StepResult(2, "verify_chain", False, "expected error 'mfa-failed', got success "
+                     "{'ok': True, 'first_bad_seq': None}")]),
+        ({"op": "frobnicate"}, 2, [StepResult(2, "frobnicate", False, "unknown op 'frobnicate'")]),
+        ({"op": "grant_access", "args": {"actor": "stw1"}}, 2,
+         [StepResult(2, "grant_access", False,
+                     "unexpected bad-request: grant_access: missing argument 'project'")]),
+        ({"op": "verify_chain", "expect": [1]}, 2,
+         [StepResult(2, "verify_chain", False, "invalid expect [1]: must be an object")]),
+        ({"op": "verify_mfa", "args": {"netid": "res1", "proof": "wrong"}, "expect": "x"}, 2,
+         [StepResult(2, "verify_mfa", False, "invalid expect 'x': must be an object")]),
+    ])
+    def test_each_exit_path_reports_every_step_run(self, step, exit_code, tail):
+        broker = build_broker(TOPOLOGY, DIRECTORY)
+        outcome = run_scenario(broker, Scenario(0, 0, PRELUDE + [step, {"op": "verify_chain"}]))
+        assert outcome.exit_code == exit_code
+        assert outcome.results == MATCHED + tail
+        assert outcome.mismatches == [r for r in tail if not r.ok]
+
+    def test_internal_error_exits_three_with_the_steps_before_it(self, monkeypatch):
+        broker = build_broker(TOPOLOGY, DIRECTORY)
+        op = broker.op
+
+        def faulty(name, args=None):
+            if name == "verify_chain":
+                raise RuntimeError("boom")
+            return op(name, args)
+
+        monkeypatch.setattr(broker, "op", faulty)
+        outcome = run_scenario(broker, Scenario(0, 0, PRELUDE + [{"op": "verify_chain"}]))
+        last = StepResult(2, "verify_chain", False, "internal error: RuntimeError('boom')")
+        assert outcome.exit_code == 3
+        assert outcome.results == MATCHED + [last]
+        assert outcome.mismatches == [last]
+
+    def test_a_run_keeps_no_result_per_step(self):
+        steps = [{"op": "advance", "args": {"seconds": 1}} for _ in range(600)]
+        before = _alive_step_results()
+        outcome = run_scenario(build_broker(TOPOLOGY, DIRECTORY), Scenario(0, 0, steps))
+        assert _alive_step_results() == before
+        assert outcome.exit_code == 0
+        failed = run_scenario(build_broker(TOPOLOGY, DIRECTORY),
+                              Scenario(0, 0, steps + [{"op": "frobnicate"}]))
+        assert _alive_step_results() == before + 1
+        assert failed.exit_code == 2
+        # The per-step view is still there, built when it is asked for.
+        assert outcome.results == [StepResult(i, "advance", True) for i in range(600)]
+        assert failed.results[600:] == failed.mismatches
 
     def test_determinism_byte_identical_ledgers(self):
         scenario = load_scenario(SCENARIO)
@@ -202,6 +276,19 @@ class TestCliEntry:
                      "--directory", str(DIRECTORY), "--scenario", str(path)])
         assert code == 2
         assert "grant_access: missing argument 'netid'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [
+        {"op": "verify_chain", "args": {}, "expect": [1]},
+        {"op": "verify_mfa", "args": {"netid": "res1", "proof": "wrong"}, "expect": "x"},
+    ])
+    def test_run_step_whose_expect_is_not_an_object_exits_two(self, tmp_path, capsys, step):
+        path = write_json(tmp_path, "expect.json", {"steps": [step]})
+        code = main(["run", "--topology", str(TOPOLOGY),
+                     "--directory", str(DIRECTORY), "--scenario", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"step 0 ({step['op']}): invalid expect" in captured.err
+        assert json.loads(captured.out)["steps"] == 1
 
     def test_env_vars_mirror_flags(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BROKER_TOPOLOGY", str(TOPOLOGY))

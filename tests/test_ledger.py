@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,7 +13,8 @@ from enclavebroker.errors import (
     UnknownProject,
     UnknownSession,
 )
-from enclavebroker.ledger import GENESIS_HASH, AuditEvent, event_hash
+from enclavebroker.clock import SimClock
+from enclavebroker.ledger import GENESIS_HASH, AuditEvent, AuditLedger, event_hash
 from enclavebroker.sessions import DAY
 
 from conftest import authenticate, make_broker, open_rdp
@@ -182,6 +184,34 @@ class TestVerifyChain:
         assert list(record) == ["seq", "at", "actor", "action", "object",
                                 "detail", "prev_hash", "this_hash"]
         assert record["this_hash"] == record["this_hash"].lower()
+
+
+class TestExportText:
+    def test_empty_ledger_exports_nothing(self):
+        ledger = AuditLedger(SimClock())
+        assert ledger.export_text() == "".join(l + "\n" for l in ledger.export_lines()) == ""
+
+    def test_text_is_every_line_with_its_newline(self, broker):
+        open_rdp(broker)
+        lines = broker.ledger.export_lines()
+        assert len(lines) > 1
+        assert broker.ledger.export_text() == "".join(l + "\n" for l in lines)
+
+    def test_export_holds_its_text_once(self):
+        """At the peak, the lines and the text joined from them are alive,
+        and no second copy of the text."""
+        clock = SimClock()
+        ledger = AuditLedger(clock)
+        for i in range(2000):
+            clock.advance(1)
+            ledger.append("admin1", "register", f"user-{i:04d}", {"affiliation": "member"})
+        tracemalloc.start()
+        try:
+            text = ledger.export_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * len(text)
 
 
 class TestComplianceReport:
