@@ -363,4 +363,4 @@ class Broker:
         return {"session": session,
                 "events": [{"seq": e.seq, "at": e.at, "actor": e.actor,
                             "action": e.action, "object": e.object,
-                            "detail": dict(e.detail)} for e in events]}
+                            "detail": e.detail.copy()} for e in events]}

@@ -50,6 +50,7 @@ def _line_of(text: str, needle: str) -> int:
 _TOPOLOGY = Op("topology", Arg("services", list, ()))
 _DIRECTORY = Op("directory", Arg("admins", list, ()), Arg("issuers", list, ()),
                 Arg("subject_map", dict, None))
+_SCENARIO = Op("scenario", Arg("seed", int, 0), Arg("clock", int, 0))
 _SECTIONS = {op.method: op for op in (
     Op("zones", Arg("id"), Arg("parent", str, None)),
     Op("gateways", Arg("id"), Arg("kind", GatewayKind, "vpn"), Arg("admits_to"),
@@ -180,14 +181,14 @@ class Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     data, text = _read_json(path)
+    seed, clock = _top_level(_SCENARIO, path, text, data)
     steps = data.get("steps", [])
     if not isinstance(steps, list):
         raise SchemaError(f"{path}: field 'steps': must be a list")
     for i, step in enumerate(steps):
         if not isinstance(step, dict) or "op" not in step:
             raise SchemaError(f"{path}: field 'steps[{i}]': every step needs an 'op'")
-    return Scenario(seed=int(data.get("seed", 0)), clock=int(data.get("clock", 0)),
-                    steps=steps)
+    return Scenario(seed=seed, clock=clock, steps=steps)
 
 
 def build_broker(topology_path: str | Path, directory_path: str | Path, *,

@@ -9,9 +9,12 @@ happened during a given session.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -70,6 +73,21 @@ ACTIONS = frozenset(
 EXPORT_FIELDS = ("seq", "at", "actor", "action", "object", "detail", "prev_hash", "this_hash")
 
 
+class _Detail(dict):
+    """A stored event's detail: a dict whose own mutators raise, so no reader
+    can change a stored event in place. Being a dict, it compares, encodes
+    and hashes like the plain dict it was built from; ``copy()`` returns a
+    plain dict."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a stored event's detail is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True, slots=True)
 class AuditEvent:
     seq: int
@@ -106,19 +124,22 @@ def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
     them. A field of any other type (a bool, a float, None, a detail key or
     value that is not a string) is left to `json.dumps`.
     """
-    items = sorted(detail.items())
+    # Keys are unique, so sorting them orders the pairs as sorting the
+    # pairs would, without comparing tuples.
+    keys = sorted(detail)
     if type(seq) is int and type(at) is int:
         try:
             actor_q, action_q, object_q = _quote(actor), _quote(action), _quote(object_id)
             if not export:
-                pairs = ",".join([f"[{_quote(k)},{_quote(v)}]" for k, v in items])
+                pairs = ",".join([f"[{_quote(k)},{_quote(detail[k])}]" for k in keys])
                 return f"[{seq},{at},{actor_q},{action_q},{object_q},[{pairs}],{_quote(prev_hash)}]"
-            pairs = ",".join([f"{_quote(k)}:{_quote(v)}" for k, v in items])
+            pairs = ",".join([f"{_quote(k)}:{_quote(detail[k])}" for k in keys])
             return (f'{{"seq":{seq},"at":{at},"actor":{actor_q},"action":{action_q},'
                     f'"object":{object_q},"detail":{{{pairs}}},"prev_hash":{_quote(prev_hash)},'
                     f'"this_hash":{_quote(this_hash)}}}')
         except TypeError:  # _quote was given a field that is not a str
             pass
+    items = [(k, detail[k]) for k in keys]
     if not export:
         return json.dumps([seq, at, actor, action, object_id, items, prev_hash],
                           separators=(",", ":"))
@@ -199,12 +220,69 @@ class _MappingSpan:
     end: int | None = None
 
 
+def _stored(event: AuditEvent) -> AuditEvent:
+    """The event as the store keeps it: with a read-only detail."""
+    if type(event.detail) is _Detail:
+        return event
+    return dataclasses.replace(event, detail=_Detail(event.detail))
+
+
+class _EventStore(MutableSequence):
+    """The ledger's events, and ``verified``: the count of leading events the
+    last ``verify_chain`` passed. ``AuditLedger.append`` adds its new event
+    to ``items`` itself. Every other write goes through the methods here,
+    which store the event with a read-only detail and lower ``verified`` to
+    the position they touch, so that event and all after it are rehashed by
+    the next verify."""
+
+    __slots__ = ("items", "verified")
+
+    def __init__(self) -> None:
+        self.items: list[AuditEvent] = []
+        self.verified = 0
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, index):
+        return self.items[index]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __setitem__(self, index: int, event: AuditEvent) -> None:
+        self._lower(index)
+        self.items[index] = _stored(event)
+
+    def __delitem__(self, index: int) -> None:
+        self._lower(index)
+        del self.items[index]
+
+    def insert(self, index: int, event: AuditEvent) -> None:
+        self._lower(index)
+        self.items.insert(index, _stored(event))
+
+    def _lower(self, index: int) -> None:
+        """Lower the watermark to the position a write at ``index`` touches.
+        A write takes one position, never a slice. A negative index counts
+        from the end, and one below -len is 0, as list.insert clamps it."""
+        index = operator.index(index)
+        if index < 0:
+            index = max(index + len(self.items), 0)
+        self.verified = min(self.verified, index)
+
+
 class AuditLedger:
-    """The append-only event store. There is no update or delete operation."""
+    """The append-only event store. There is no update or delete operation.
+
+    Events live in an ``_EventStore``: each is a frozen ``AuditEvent`` whose
+    detail is read-only, and the store remembers how many leading events
+    the last ``verify_chain`` passed.
+    """
 
     def __init__(self, clock: SimClock):
         self._clock = clock
-        self._events: list[AuditEvent] = []
+        self._events = _EventStore()
         self._last_hash = GENESIS_HASH
         # Session lookups read the events themselves. Reports read only
         # per-project times, kept in ledger order; ledger time never
@@ -223,15 +301,16 @@ class AuditLedger:
                detail: dict[str, str] | None = None) -> int:
         if action not in ACTIONS:
             raise UnknownAction(f"action {action!r} not in the closed vocabulary")
-        detail = dict(detail or {})
+        detail = _Detail(detail or {})
         for key, value in detail.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise TypeError("event detail must be a flat string map")
         at = self._clock.now
-        seq = len(self._events) + 1
+        events = self._events.items
+        seq = len(events) + 1
         digest = event_hash(seq, at, actor, action, object_id, detail, self._last_hash)
         event = AuditEvent(seq, at, actor, action, object_id, detail, self._last_hash, digest)
-        self._events.append(event)
+        events.append(event)
         self._last_hash = digest
         self._index(event)
         return seq
@@ -284,10 +363,10 @@ class AuditLedger:
 
     @property
     def events(self) -> list[AuditEvent]:
-        return list(self._events)
+        return self._events.items.copy()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._events.items)
 
     def head_count(self) -> int:
         """The event count. Not stored outside the ledger yet, so it cannot
@@ -310,20 +389,32 @@ class AuditLedger:
         return list(events)
 
     def verify_chain(self) -> tuple[bool, int | None]:
-        """Recompute every digest; returns (ok, first bad seq).
+        """Recompute the digests; returns (ok, first bad seq).
+
+        The events the last call passed, up to the store's watermark, have
+        not been written since, so the check starts after them, from the
+        stored hash of the last one: the result is the one a rehash from
+        genesis gives. A pass moves the watermark to the end, a failure at
+        a position to that position.
 
         A truncated suffix is not detectable by the chain alone; that needs a
         head count stored outside the ledger.
         """
-        prev = GENESIS_HASH
-        for i, event in enumerate(self._events):
+        store = self._events
+        events = store.items
+        start = store.verified
+        prev = events[start - 1].this_hash if start else GENESIS_HASH
+        for i, event in enumerate(events[start:], start):
             if event.seq != i + 1 or event.prev_hash != prev:
+                store.verified = i
                 return False, i + 1
             digest = event_hash(event.seq, event.at, event.actor, event.action,
                                 event.object, event.detail, event.prev_hash)
             if digest != event.this_hash:
+                store.verified = i
                 return False, event.seq
             prev = event.this_hash
+        store.verified = len(events)
         return True, None
 
     def export_lines(self) -> list[str]:

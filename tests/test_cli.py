@@ -82,6 +82,23 @@ class TestLoad:
         with pytest.raises(DanglingReference):
             build_broker(TOPOLOGY, path)
 
+    @pytest.mark.parametrize("field", ["seed", "clock"])
+    @pytest.mark.parametrize("value", ["x", [2], True, 1.7, {}])
+    def test_scenario_seed_or_clock_not_an_integer(self, tmp_path, field, value):
+        path = write_json(tmp_path, "scenario.json", {field: value, "steps": []})
+        with pytest.raises(SchemaError) as err:
+            load_scenario(path)
+        assert f"argument {field!r} must be an integer" in str(err.value)
+        assert "scenario.json" in str(err.value)
+
+    def test_scenario_seed_and_clock_null_or_absent_default_to_zero(self, tmp_path):
+        for payload in ({"steps": []}, {"seed": None, "clock": None, "steps": []}):
+            scenario = load_scenario(write_json(tmp_path, "scenario.json", payload))
+            assert (scenario.seed, scenario.clock) == (0, 0)
+        scenario = load_scenario(write_json(tmp_path, "scenario.json",
+                                            {"seed": 7, "clock": 30, "steps": []}))
+        assert (scenario.seed, scenario.clock) == (7, 30)
+
 
 # Two steps that match, one of them by the error it expected, before the
 # step under test.
@@ -289,6 +306,18 @@ class TestCliEntry:
         captured = capsys.readouterr()
         assert f"step 0 ({step['op']}): invalid expect" in captured.err
         assert json.loads(captured.out)["steps"] == 1
+
+    @pytest.mark.parametrize("payload", [{"seed": "x"}, {"seed": 1, "clock": [2]},
+                                         {"seed": True}, {"clock": 1.7}])
+    def test_run_scenario_with_a_bad_seed_or_clock_exits_two(self, tmp_path, capsys,
+                                                              payload):
+        path = write_json(tmp_path, "scenario.json", {**payload, "steps": []})
+        code = main(["run", "--topology", str(TOPOLOGY),
+                     "--directory", str(DIRECTORY), "--scenario", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be an integer" in err
+        assert "Traceback" not in err
 
     def test_env_vars_mirror_flags(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BROKER_TOPOLOGY", str(TOPOLOGY))

@@ -5,7 +5,10 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enclavebroker import ledger as ledger_module
 from enclavebroker.errors import (
     NoSessionAtTime,
     UnknownAction,
@@ -184,6 +187,195 @@ class TestVerifyChain:
         assert list(record) == ["seq", "at", "actor", "action", "object",
                                 "detail", "prev_hash", "this_hash"]
         assert record["this_hash"] == record["this_hash"].lower()
+
+
+def full_rescan(ledger: AuditLedger) -> tuple[bool, int | None]:
+    """The reference: rehash every event from genesis."""
+    prev = GENESIS_HASH
+    for i, event in enumerate(ledger.events):
+        if event.seq != i + 1 or event.prev_hash != prev:
+            return False, i + 1
+        if event_hash(event.seq, event.at, event.actor, event.action, event.object,
+                      event.detail, event.prev_hash) != event.this_hash:
+            return False, event.seq
+        prev = event.this_hash
+    return True, None
+
+
+def small_ledger(n: int) -> AuditLedger:
+    clock = SimClock()
+    ledger = AuditLedger(clock)
+    for i in range(n):
+        clock.advance(1)
+        ledger.append("admin1", "register", f"user-{i}", {"n": str(i)})
+    return ledger
+
+
+def tampered(event: AuditEvent, how: int) -> AuditEvent:
+    if how == 0:
+        return dataclasses.replace(event, detail={**event.detail, "n": "evil"})
+    if how == 1:
+        return dataclasses.replace(event, at=event.at + 1)
+    return dataclasses.replace(event, this_hash="f" * 64)
+
+
+# One step: (kind, position, how). A position is reduced modulo the length.
+STEPS = st.lists(st.tuples(
+    st.sampled_from(["append", "verify", "tamper", "restore", "pop", "append-back",
+                     "insert", "del"]),
+    st.integers(0, 63), st.integers(0, 2)), max_size=30)
+
+
+class TestVerifiedWatermark:
+    """verify_chain starts after the events its last pass verified; every
+    write through the store must pull that watermark back."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(initial=st.integers(0, 8), steps=STEPS)
+    def test_matches_a_full_rescan_after_every_step(self, initial, steps):
+        ledger = small_ledger(initial)
+        store = ledger._events
+        originals: dict[int, AuditEvent] = {}  # position -> event before tamper
+        removed: list[AuditEvent] = []
+        for kind, position, how in steps:
+            n = len(store)
+            j = position % n if n else 0
+            if kind == "append":
+                ledger.append("admin1", "register", f"extra-{position}", {"n": str(how)})
+            elif kind == "verify":
+                ledger.verify_chain()
+            elif kind == "tamper" and n:
+                originals.setdefault(j, store[j])
+                store[j] = tampered(store[j], how)
+            elif kind == "restore" and n and j in originals:
+                store[j] = originals.pop(j)
+            elif kind == "pop" and n:
+                removed.append(store.pop())
+            elif kind == "append-back" and removed:
+                store.append(removed.pop())
+            elif kind == "insert" and n:
+                store.insert(j, removed.pop() if removed else store[position % n])
+            elif kind == "del" and n:
+                removed.append(store[j])
+                del store[j]
+            assert ledger.verify_chain() == full_rescan(ledger), (kind, j)
+
+    @pytest.fixture
+    def hashed(self, monkeypatch) -> list[int]:
+        """The seq of every event hashed since the list was last cleared."""
+        calls: list[int] = []
+        real = ledger_module.event_hash
+
+        def counted(seq, *rest):
+            calls.append(seq)
+            return real(seq, *rest)
+
+        monkeypatch.setattr(ledger_module, "event_hash", counted)
+        return calls
+
+    def test_verify_with_nothing_new_hashes_nothing(self, hashed):
+        ledger = small_ledger(20)
+        hashed.clear()
+        assert ledger.verify_chain() == (True, None)
+        assert len(hashed) == 20
+        hashed.clear()
+        assert ledger.verify_chain() == (True, None)
+        assert hashed == []
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_k_appends_are_all_the_next_verify_hashes(self, hashed, k):
+        ledger = small_ledger(20)
+        ledger.verify_chain()
+        for i in range(k):
+            ledger.append("admin1", "register", f"late-{i}", {})
+        hashed.clear()
+        assert ledger.verify_chain() == (True, None)
+        assert hashed == list(range(21, 21 + k))
+
+    @pytest.mark.parametrize("write", ["assign", "del+insert", "insert+del"])
+    def test_a_write_at_j_rehashes_from_j_to_the_end(self, hashed, write):
+        ledger = small_ledger(20)
+        ledger.verify_chain()
+        store, j = ledger._events, 7
+        if write == "assign":
+            store[j] = store[j]
+        elif write == "del+insert":
+            event = store[j]
+            del store[j]
+            store.insert(j, event)
+        else:
+            store.insert(j, store[0])
+            del store[j]
+        hashed.clear()
+        assert ledger.verify_chain() == (True, None)
+        assert hashed == list(range(j + 1, 21))
+
+    def test_a_failure_is_found_again_and_cleared_by_a_restore(self, hashed):
+        ledger = small_ledger(20)
+        store = ledger._events
+        ledger.verify_chain()
+        original = store[12]
+        store[12] = tampered(original, 0)
+        assert ledger.verify_chain() == (False, 13)
+        hashed.clear()
+        assert ledger.verify_chain() == (False, 13)
+        assert hashed == [13]
+        store[12] = original
+        hashed.clear()
+        assert ledger.verify_chain() == (True, None)
+        assert hashed == list(range(13, 21))
+
+
+MUTATIONS = {
+    "setitem": lambda d: d.__setitem__("n", "evil"),
+    "delitem": lambda d: d.__delitem__("n"),
+    "ior": lambda d: d.__ior__({"n": "evil"}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop("n"),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("m", "evil"),
+    "update": lambda d: d.update(n="evil"),
+}
+READS = {
+    "events": lambda ledger: ledger.events[0],
+    "reconstruct_session": lambda ledger: ledger.reconstruct_session("s-000001")[0],
+    "_events[i]": lambda ledger: ledger._events[0],
+}
+
+
+class TestReadOnlyDetail:
+    @pytest.mark.parametrize("read", sorted(READS))
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_a_read_cannot_change_a_stored_detail(self, read, mutation):
+        ledger = AuditLedger(SimClock())
+        ledger.append("admin1", "attach", "s-000001", {"n": "1", "vm": "vm-1"})
+        ledger.verify_chain()
+        before = ledger.export_text()
+        detail = READS[read](ledger).detail
+        with pytest.raises(TypeError):
+            MUTATIONS[mutation](detail)
+        assert ledger.export_text() == before
+        assert ledger.verify_chain() == (True, None)
+
+    def test_detail_reads_like_a_plain_dict(self):
+        ledger = AuditLedger(SimClock())
+        ledger.append("admin1", "register", "x", {"b": "2", "a": "1"})
+        detail = ledger.events[0].detail
+        assert detail == {"a": "1", "b": "2"}
+        assert json.dumps(detail, sort_keys=True) == '{"a": "1", "b": "2"}'
+        copy = detail.copy()
+        assert type(copy) is dict
+        copy["a"] = "changed"
+        assert ledger.events[0].detail["a"] == "1"
+
+    def test_wire_trace_hands_out_plain_dicts(self, broker):
+        session, _ = open_rdp(broker)
+        before = broker.ledger.export_text()
+        trace = broker.op("reconstruct_session", {"session": session.id})
+        for event in trace["events"]:
+            assert type(event["detail"]) is dict
+            event["detail"]["n"] = "changed"
+        assert broker.ledger.export_text() == before
 
 
 class TestExportText:
