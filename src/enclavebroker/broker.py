@@ -186,8 +186,7 @@ OPS: dict[str, Op] = {
     "read_disk": Op("_read_disk", Arg("vm")),
     "write_disk": Op("_write_disk", Arg("vm"), Arg("token")),
     "create_share": Op("enclave.create_share", Arg("project"), Arg("protocol"),
-                       Arg("capacity_tb", float), Arg("dedicated_device", bool, False),
-                       Arg("encrypted_at_rest", bool, False)),
+                       Arg("capacity_tb", float), Arg("dedicated_device", bool, False)),
     "set_share_acl": Op("enclave.set_share_acl", Arg("actor"), Arg("share"),
                         Arg("groups", list, ())),
     "is_reachable": Op("_is_reachable", Arg("src"), Arg("dst"), Arg("service"),

@@ -148,7 +148,6 @@ class StorageShare:
     zone: str
     acl_groups: set[str] = field(default_factory=set)
     dedicated_device: bool = False
-    encrypted_at_rest: bool = False
     resizable: bool = True
 
     def to_wire(self) -> dict:
@@ -435,8 +434,7 @@ class Enclave:
     # -- storage ----------------------------------------------------------------
 
     def create_share(self, project_id: str, protocol: str, capacity_tb: float,
-                     dedicated_device: bool = False,
-                     encrypted_at_rest: bool = False) -> StorageShare:
+                     dedicated_device: bool = False) -> StorageShare:
         project = self._policy.get_project(project_id)
         protocol = protocol.lower()
         if protocol == "nfs":
@@ -456,7 +454,6 @@ class Enclave:
             capacity_tb=capacity_tb,
             zone=project.zone,
             dedicated_device=dedicated_device,
-            encrypted_at_rest=encrypted_at_rest,
             resizable=proto is ShareProtocol.CIFS,
         )
         self.shares[share.id] = share

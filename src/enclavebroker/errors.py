@@ -143,8 +143,8 @@ class UndocumentedRule(BrokerError):
 
 
 class DuplicateId(BrokerError):
-    """A zone, gateway, host, VM or exception rule declared under an id that
-    is already taken; the earlier entry is never replaced."""
+    """A zone, gateway, host, VM, exception rule or group declared under an
+    id that is already taken; the earlier entry is never replaced."""
 
     code = "duplicate-id"
 

@@ -14,6 +14,7 @@ from .clock import SimClock
 from .errors import (
     AssertionExpired,
     BadRequest,
+    DuplicateId,
     DuplicateNetid,
     InvalidSponsor,
     MfaFailed,
@@ -219,13 +220,13 @@ class Directory:
 
     def create_group(self, name: str, kind: GroupKind, owning_project: str | None = None,
                      *, actor: str = "broker") -> Group:
+        """Create a group under a name that is not yet taken. Shadow groups,
+        and every name under ``SHADOW_PREFIX``, belong to the session broker."""
         kind = GroupKind(kind)
-        if kind is GroupKind.SHADOW:
+        if kind is GroupKind.SHADOW or name.startswith(SHADOW_PREFIX):
             raise ShadowGroupImmutable("shadow groups are broker-managed")
-        # An existing name is no error: the group is returned as it stands.
-        # `PolicyEngine.register_project` relies on that for its access groups.
         if name in self._groups:
-            return self._groups[name]
+            raise DuplicateId(f"group {name}")
         group = Group(name=name, kind=kind, owning_project=owning_project)
         self._groups[name] = group
         return group
@@ -239,12 +240,6 @@ class Directory:
     def is_member(self, group_name: str, netid: str) -> bool:
         group = self._groups.get(group_name)
         return group is not None and netid in group.members
-
-    def effective_member(self, group_name: str, identity: str) -> bool:
-        """True if ``identity`` is a direct member or a shadow-mirrored one."""
-        if self.is_member(group_name, identity):
-            return True
-        return self.is_member(SHADOW_PREFIX + group_name, identity)
 
     def apply_membership(self, actor: str, group: Group, netid: str, action: str) -> Group:
         """Add or remove ``netid`` and record it. The policy engine decides

@@ -14,6 +14,7 @@ from typing import Callable
 
 from .clock import SimClock
 from .errors import (
+    DuplicateId,
     DuplicateProject,
     EmptyStewards,
     InvalidSpec,
@@ -109,6 +110,9 @@ class PolicyEngine:
             raise InvalidSpec(f"project zone must be an enclave zone, not {zone!r}")
         vpn_group = f"{project_id}-vpn"
         rdp_group = f"{project_id}-rdp"
+        for name in (vpn_group, rdp_group):
+            if self._directory.has_group(name):
+                raise DuplicateId(f"group {name}")
         self._directory.create_group(vpn_group, GroupKind.ACCESS_VPN, project_id)
         self._directory.create_group(rdp_group, GroupKind.ACCESS_RDP, project_id)
         project = Project(
@@ -176,70 +180,60 @@ class PolicyEngine:
 
     def grant_access(self, actor: str, project_id: str, netid: str,
                      mode: AccessMode | str) -> GrantRecord:
-        project = self.get_project(project_id)
-        mode = AccessMode(mode)
-        if actor not in project.stewards:
-            raise Unauthorized(f"{actor} is not a steward of {project_id}")
-        user = self._directory.user(netid)
-        if user is None or not user.active:
-            raise UnknownUser(netid)
-        if project.classification is Tier.PUBLIC:
-            raise PublicProjectNoGrants(project_id)
-        self._change_members(actor, project.mode_group(mode), netid, "add")
-        at = self._clock.now
-        self._ledger.append(actor, "grant", project_id, {
-            "project": project_id,
-            "netid": netid,
-            "mode": mode.value,
-        })
-        return GrantRecord(project_id, netid, mode, actor, at, active=True)
+        return self._edit_access("grant", actor, project_id, netid, mode)
 
     def revoke_access(self, actor: str, project_id: str, netid: str,
                       mode: AccessMode | str) -> GrantRecord:
+        return self._edit_access("revoke", actor, project_id, netid, mode)
+
+    def _edit_access(self, action: str, actor: str, project_id: str, netid: str,
+                     mode: AccessMode | str) -> GrantRecord:
+        """Grant or revoke one access mode: the only change to a project's
+        access groups, each recorded by a ``grant`` or ``revoke`` event."""
         project = self.get_project(project_id)
         mode = AccessMode(mode)
+        grant = action == "grant"
         if actor not in project.stewards:
             raise Unauthorized(f"{actor} is not a steward of {project_id}")
-        if not self._directory.has_user(netid):
+        user = self._directory.user(netid)
+        # A revoke may name a deactivated user; a grant may not.
+        if user is None or (grant and not user.active):
             raise UnknownUser(netid)
-        self._change_members(actor, project.mode_group(mode), netid, "remove")
+        if grant and project.classification is Tier.PUBLIC:
+            raise PublicProjectNoGrants(project_id)
+        group = self._directory.group(project.mode_group(mode))
+        self._directory.apply_membership(actor, group, netid, "add" if grant else "remove")
         at = self._clock.now
-        self._ledger.append(actor, "revoke", project_id, {
+        self._ledger.append(actor, action, project_id, {
             "project": project_id,
             "netid": netid,
             "mode": mode.value,
         })
-        # Revocation is immediate: open sessions in the revoked mode do not drain.
-        self.on_revoke(netid, project_id, mode)
-        return GrantRecord(project_id, netid, mode, actor, at, active=False)
+        if not grant:
+            # Revocation is immediate: open sessions in the revoked mode do not drain.
+            self.on_revoke(netid, project_id, mode)
+        return GrantRecord(project_id, netid, mode, actor, at, active=grant)
 
     # -- membership ------------------------------------------------------------
 
     def set_membership(self, actor: str, group_name: str, netid: str, action: str) -> Group:
         """Add ``netid`` to or remove it from a group. An access-mode group
         changes only by a grant or revoke, so the ledger always carries one
-        for an access change."""
+        for an access change. Any other group an administrator may change,
+        and a steward their project's groups; shadow groups none."""
         group = self._directory.group(group_name)
         if group is None:
             raise UnknownGroup(group_name)
         if not self._directory.has_user(netid):
             raise UnknownUser(netid)
         mode = _GROUP_MODE.get(group.kind)
-        if mode is None:
-            return self._change_members(actor, group_name, netid, action)
-        project_id = group.owning_project
-        if project_id is None:
-            raise Unauthorized("access-mode groups change only via grant/revoke")
-        if action == "add":
-            self.grant_access(actor, project_id, netid, mode)
-        else:
-            self.revoke_access(actor, project_id, netid, mode)
-        return self._directory.group(self._projects[project_id].mode_group(mode))
-
-    def _change_members(self, actor: str, group_name: str, netid: str, action: str) -> Group:
-        """Check that ``actor`` may change the group, then change it: an
-        administrator may change any group, a steward their project's groups."""
-        group = self._directory.group(group_name)
+        if mode is not None:
+            project_id = group.owning_project
+            if project_id is None:
+                raise Unauthorized("access-mode groups change only via grant/revoke")
+            self._edit_access("grant" if action == "add" else "revoke",
+                              actor, project_id, netid, mode)
+            return self._directory.group(self._projects[project_id].mode_group(mode))
         if group.kind is GroupKind.SHADOW:
             raise ShadowGroupImmutable(group.name)
         if not self._directory.is_admin(actor):

@@ -365,12 +365,6 @@ class SessionBroker:
             self._directory.shadow_detach(group_name, arbitrary.name)
         arbitrary.shadow_groups.clear()
 
-    def can_read_share(self, share_id: str, identity: str) -> bool:
-        """ACL check for either a real principal or an in-session arbitrary user."""
-        share = self._enclave.share(share_id)
-        return any(self._directory.effective_member(g, identity)
-                   for g in sorted(share.acl_groups))
-
     # -- authentication (the attack surface) ----------------------------------------
 
     def authenticate_to_vm(self, secret: str, vm_id: str) -> AuthOutcome:

@@ -68,6 +68,15 @@ def open_sessions(broker: Broker) -> list:
     return sorted(broker.sessions._open.values(), key=lambda s: s.id)
 
 
+def can_read_share(broker: Broker, share_id: str, identity: str) -> bool:
+    """The share-ACL check for a real principal or an in-session arbitrary
+    user: a direct member of an ACL group, or one mirrored into its shadow."""
+    share = broker.enclave.share(share_id)
+    return any(broker.directory.is_member(g, identity)
+               or broker.directory.is_member(SHADOW_PREFIX + g, identity)
+               for g in sorted(share.acl_groups))
+
+
 def shadow_members(broker: Broker, group_name: str) -> set[str]:
     shadow = broker.directory.group(SHADOW_PREFIX + group_name)
     return set(shadow.members) if shadow else set()

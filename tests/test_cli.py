@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import socket
 import threading
 from pathlib import Path
 
@@ -434,7 +435,6 @@ class TestWireService:
         assert response["error"]["code"] == "bad-request"
 
     def test_over_long_request_line_is_answered_and_closed(self, server):
-        import socket
         padding = "x" * MAX_REQUEST_BYTES
         line = json.dumps({"id": 1, "op": "verify_chain", "args": {"pad": padding}})
         with socket.create_connection(server.address, timeout=10) as conn:
@@ -448,7 +448,6 @@ class TestWireService:
         assert request(server.address, "verify_chain", {})["ok"]
 
     def test_longest_request_line_is_served(self, server):
-        import socket
         line = json.dumps({"id": 2, "op": "verify_chain", "args": {"pad": ""}})
         line = line.replace('"pad": ""', '"pad": "' + "x" * (MAX_REQUEST_BYTES - len(line) - 1)
                             + '"')
@@ -459,7 +458,6 @@ class TestWireService:
                 assert json.loads(reader.readline())["ok"] is True
 
     def test_request_line_that_is_not_utf8_is_answered(self, server):
-        import socket
         with socket.create_connection(server.address, timeout=10) as conn:
             conn.sendall(b'{"op":"verify_chain","args":{"x":"\xff"}}\n')
             conn.sendall(b'{"id":3,"op":"verify_chain","args":{}}\n')
@@ -470,6 +468,33 @@ class TestWireService:
     def test_unknown_op(self, server):
         response = request(server.address, "frobnicate", {})
         assert response["error"]["code"] == "unknown-op"
+
+    @pytest.mark.parametrize("line, request_id", [("[]", None), ('"verify_chain"', None),
+                                                  ('{"id": 7}', 7)])
+    def test_request_that_is_not_an_object_with_an_op(self, line, request_id):
+        broker = build_broker(TOPOLOGY, DIRECTORY, seed=1)
+        before = len(broker.ledger)
+        assert handle_request_line(broker, line) == {
+            "id": request_id, "ok": False,
+            "error": {"code": "bad-request",
+                      "message": "request must be an object with an 'op' field"}}
+        assert len(broker.ledger) == before
+
+    def test_fault_in_the_broker_is_an_internal_error(self, monkeypatch):
+        broker = build_broker(TOPOLOGY, DIRECTORY, seed=1)
+
+        def fault():
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(broker.ledger, "verify_chain", fault)
+        line = json.dumps({"id": 9, "op": "verify_chain", "args": {}})
+        assert handle_request_line(broker, line) == {
+            "id": 9, "ok": False,
+            "error": {"code": "internal-error",
+                      "message": "ZeroDivisionError('division by zero')"}}
+        monkeypatch.undo()
+        line = json.dumps({"id": 10, "op": "verify_chain", "args": {}})
+        assert handle_request_line(broker, line)["ok"] is True
 
     def test_concurrent_clients_linearize(self, server):
         """Two read-heavy request logs executed concurrently must match a
@@ -623,6 +648,34 @@ class TestClientVerbs:
     def test_missing_option_exits_two_before_connecting(self, capsys, command, option):
         assert main(command.split() + ["--connect", "127.0.0.1:1"]) == 2
         assert option in capsys.readouterr().err
+
+    @pytest.fixture
+    def served(self):
+        server = BrokerServer(build_broker(TOPOLOGY, DIRECTORY, seed=1), ("127.0.0.1", 0))
+        server.serve_in_thread()
+        host, port = server.address
+        yield f"{host}:{port}"
+        server.shutdown()
+        server.server_close()
+
+    @pytest.mark.parametrize("command,code,ok", [
+        ("audit verify", 0, True),
+        ("user mfa res1 --proof wrong", 1, False),
+    ])
+    def test_exit_code_follows_the_response(self, capsys, served, command, code, ok):
+        assert main(command.split() + ["--connect", served]) == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["ok"] is ok
+        assert captured.err == ""
+
+    def test_nothing_listening_exits_three(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            host, port = probe.getsockname()
+        assert main(["audit", "verify", "--connect", f"{host}:{port}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_audit_resolve_without_at_asks_about_now(self, capsys):
         broker = build_broker(TOPOLOGY, DIRECTORY, seed=1)

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclavebroker.errors import (
     AssertionExpired,
+    BrokerError,
+    DuplicateId,
     DuplicateNetid,
     InvalidSponsor,
     MfaFailed,
@@ -12,13 +18,14 @@ from enclavebroker.errors import (
     ShadowGroupImmutable,
     Unauthorized,
     UnknownGroup,
+    UnknownProject,
     UnknownUser,
     UnmappedSubject,
     UntrustedIssuer,
 )
 from enclavebroker.identity import Affiliation, FederatedAssertion, GroupKind
 
-from conftest import authenticate, directory_issues
+from conftest import authenticate, directory_issues, make_broker
 
 
 class TestRegisterUser:
@@ -224,12 +231,13 @@ class TestMembership:
         assert added[1].detail == {"project": "study", "netid": "res1", "mode": "rdp"}
 
     def test_grant_on_role_group_named_like_a_mode_group(self, broker):
-        # A role group that predates its project stands in for the project's
-        # access group; only an administrator may change a role group without
-        # an owning project, so a steward's grant is refused.
+        # A role group that predates its project never stands in for the
+        # project's access group: the project is refused, so there is
+        # nothing to grant on.
         broker.directory.create_group("pilot-vpn", GroupKind.ROLE)
-        broker.policy.register_project("admin1", "pilot", "restricted", {"stw1"})
-        with pytest.raises(Unauthorized, match="^stw1 cannot manage pilot-vpn$"):
+        with pytest.raises(DuplicateId, match="^group pilot-vpn$"):
+            broker.policy.register_project("admin1", "pilot", "restricted", {"stw1"})
+        with pytest.raises(UnknownProject):
             broker.op("grant_access", {"actor": "stw1", "project": "pilot",
                                        "netid": "res1", "mode": "vpn"})
 
@@ -239,6 +247,98 @@ class TestMembership:
                            match="^access-mode groups change only via grant/revoke$"):
             broker.op("set_membership", {"actor": "admin1", "group": "orphan-vpn",
                                          "netid": "res1", "action": "add"})
+
+
+class TestGroupNames:
+    """A group name is claimed once, and ``shadow:`` names belong to the
+    session broker, so a project's access groups are always its own."""
+
+    @pytest.mark.parametrize("taken, other", [("lab-vpn", "lab-rdp"),
+                                              ("lab-rdp", "lab-vpn")])
+    def test_register_project_refuses_a_taken_access_group_name(self, broker, taken, other):
+        broker.op("create_group", {"actor": "admin1", "name": taken, "kind": "role"})
+        broker.op("set_membership", {"actor": "admin1", "group": taken,
+                                     "netid": "res3", "action": "add"})
+        before = broker.ledger.export_text()
+        with pytest.raises(DuplicateId, match=f"^group {taken}$"):
+            broker.op("register_project", {"actor": "admin1", "id": "lab",
+                                           "classification": "sensitive",
+                                           "stewards": ["stw1"]})
+        assert "lab" not in {p.id for p in broker.policy.projects()}
+        assert not broker.directory.has_group(other)
+        assert broker.directory.group(taken).members == {"res3"}
+        assert broker.ledger.export_text() == before
+
+    @pytest.mark.parametrize("name, kind", [("analysts", "role"), ("analysts", "access-vpn"),
+                                            ("study-vpn", "role"), ("study-rdp", "access-rdp")])
+    def test_create_group_refuses_a_taken_name(self, broker, name, kind):
+        held = broker.directory.group(name)
+        with pytest.raises(DuplicateId) as caught:
+            broker.op("create_group", {"actor": "admin1", "name": name, "kind": kind})
+        assert caught.value.code == "duplicate-id"
+        assert broker.directory.group(name) is held
+
+    @pytest.mark.parametrize("name", ["shadow:analysts", "shadow:study-rdp", "shadow:new"])
+    def test_create_group_refuses_a_shadow_name(self, broker, name):
+        broker.directory.shadow_attach("analysts", "u-deadbeef")
+        held = broker.directory.group(name)
+        with pytest.raises(ShadowGroupImmutable) as caught:
+            broker.op("create_group", {"actor": "admin1", "name": name, "kind": "role"})
+        assert caught.value.code == "shadow-group-immutable"
+        assert broker.directory.group(name) is held
+
+
+_PROJECT_IDS = ["lab", "pilot"]
+_GROUP_NAMES = [f"{p}-{m}" for p in _PROJECT_IDS for m in ("vpn", "rdp")] + ["extra"]
+_NETIDS = ["res1", "res2", "res3"]
+
+
+def _step(op: str, **args):
+    return op, {k: v for k, v in args.items() if v is not None}
+
+
+_ACCESS_STEPS = st.one_of(
+    st.builds(partial(_step, "create_group", actor="admin1"),
+              name=st.sampled_from(_GROUP_NAMES),
+              kind=st.sampled_from(["role", "access-vpn", "access-rdp"]),
+              owning_project=st.sampled_from([None, *_PROJECT_IDS])),
+    st.builds(partial(_step, "set_membership"), actor=st.sampled_from(["admin1", "stw1"]),
+              group=st.sampled_from(_GROUP_NAMES), netid=st.sampled_from(_NETIDS),
+              action=st.sampled_from(["add", "remove"])),
+    st.builds(partial(_step, "register_project", actor="admin1", stewards=["stw1"]),
+              id=st.sampled_from(_PROJECT_IDS),
+              classification=st.sampled_from(["sensitive", "restricted", "public"])),
+    st.builds(partial(_step, actor="stw1"),
+              st.sampled_from(["grant_access", "revoke_access"]),
+              project=st.sampled_from(_PROJECT_IDS), netid=st.sampled_from(_NETIDS),
+              mode=st.sampled_from(["vpn", "rdp"])),
+)
+
+
+@given(steps=st.lists(_ACCESS_STEPS, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_access_groups_hold_exactly_the_granted(steps):
+    """After every step, each project's ``<id>-vpn`` and ``<id>-rdp`` hold
+    exactly the netids whose last grant or revoke for that project and mode
+    is a grant."""
+    broker = make_broker()
+    last: dict[tuple[str, str, str], str] = {}
+    seen = len(broker.ledger)
+    for op, args in steps:
+        try:
+            broker.op(op, args)
+        except BrokerError:
+            pass
+        for event in broker.ledger.events[seen:]:
+            if event.action in ("grant", "revoke"):
+                detail = event.detail
+                last[detail["project"], detail["mode"], detail["netid"]] = event.action
+        seen = len(broker.ledger)
+        for project in broker.policy.projects():
+            for mode in ("vpn", "rdp"):
+                granted = {netid for (p, m, netid), action in last.items()
+                           if p == project.id and m == mode and action == "grant"}
+                assert broker.directory.group(f"{project.id}-{mode}").members == granted
 
 
 class TestMfaGate:

@@ -24,7 +24,14 @@ from enclavebroker.errors import (
 from enclavebroker.loadgen import build_directory, build_scenario, build_topology
 from enclavebroker.sessions import AuthOutcome, DAY, SessionState
 
-from conftest import authenticate, make_broker, open_rdp, open_sessions, shadow_members
+from conftest import (
+    authenticate,
+    can_read_share,
+    make_broker,
+    open_rdp,
+    open_sessions,
+    shadow_members,
+)
 
 
 class TestOpenSession:
@@ -177,13 +184,13 @@ class TestGroupAlignment:
     def test_shadow_membership_mirrors_principal(self, broker):
         share = self._share_with_acl(broker)
         session, _ = open_rdp(broker)
-        assert broker.sessions.can_read_share(share.id, session.arbitrary_user)
-        assert broker.sessions.can_read_share(share.id, "res1")
+        assert can_read_share(broker, share.id, session.arbitrary_user)
+        assert can_read_share(broker, share.id, "res1")
 
     def test_no_acl_no_shadow(self, broker):
         share = self._share_with_acl(broker, group="analysts")
         session, _ = open_rdp(broker)
-        assert not broker.sessions.can_read_share(share.id, session.arbitrary_user)
+        assert not can_read_share(broker, share.id, session.arbitrary_user)
 
     def test_alignment_matches_principal_for_random_acls(self, broker):
         """Pointwise comparison against direct evaluation on the principal."""
@@ -199,14 +206,14 @@ class TestGroupAlignment:
         for share in shares:
             direct = any(broker.directory.is_member(g, "res1")
                          for g in share.acl_groups)
-            mirrored = broker.sessions.can_read_share(share.id, session.arbitrary_user)
+            mirrored = can_read_share(broker, share.id, session.arbitrary_user)
             assert mirrored == direct
 
     def test_shadow_removed_after_close(self, broker):
         share = self._share_with_acl(broker)
         session, _ = open_rdp(broker)
         broker.sessions.close_session(session.id)
-        assert not broker.sessions.can_read_share(share.id, session.arbitrary_user)
+        assert not can_read_share(broker, share.id, session.arbitrary_user)
 
     def test_shadow_hygiene_outside_sessions(self, broker):
         session, _ = open_rdp(broker)
