@@ -21,7 +21,6 @@ from .identity import (
     AuthenticatedPrincipal,
     Directory,
     FederatedAssertion,
-    GroupKind,
 )
 from .ledger import AuditLedger
 from .model import INTERNET, PROTECTED_VRF, AccessMode, Decision, Tier
@@ -54,9 +53,10 @@ class Arg:
     is passed on), or ``AuthenticatedPrincipal``: a netid that the broker
     resolves to the principal that passed MFA. A ``keyword`` argument goes to
     the target by that keyword, the others by position in declared order.
+    ``values`` holds the allowed strings of an Enum or tuple type, else None.
     """
 
-    __slots__ = ("name", "kind", "default", "keyword", "accepts", "expects")
+    __slots__ = ("name", "kind", "default", "keyword", "values", "accepts", "expects")
 
     def __init__(self, name: str, kind: Any = str, default: Any = REQUIRED,
                  keyword: str | None = None):
@@ -65,9 +65,11 @@ class Arg:
         self.default = default
         self.keyword = keyword
         if kind in _ACCEPTS:
+            self.values = None
             self.accepts, self.expects = _ACCEPTS[kind]
         else:
             values = tuple(m.value for m in kind) if isinstance(kind, type) else kind
+            self.values = values
             self.accepts = lambda v: isinstance(v, str) and v in values
             self.expects = "one of " + ", ".join(values)
 
@@ -150,7 +152,8 @@ OPS: dict[str, Op] = {
         Arg("expires_at", int), Arg("mfa_satisfied", bool, False),
         Arg("attributes", dict, None)),
     "verify_mfa": Op("_verify_mfa", Arg("netid"), Arg("proof", str, None)),
-    "create_group": Op("_create_group", Arg("name"), Arg("kind", GroupKind, "role"),
+    # Only register_project makes a project's access groups.
+    "create_group": Op("_create_group", Arg("name"), Arg("kind", ("role",), "role"),
                        Arg("owning_project", str, None), Arg("actor", str, "broker")),
     "set_membership": Op(
         "policy.set_membership", Arg("actor"), Arg("group"), Arg("netid"),

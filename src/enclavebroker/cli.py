@@ -2,7 +2,8 @@
 
 ``init`` validates config files, ``run`` replays a scenario deterministically,
 ``serve`` exposes the broker on a local socket, and the remaining verbs are
-thin clients that send one operation to a running server. Flags mirror
+thin clients that send one operation to a running server, with options
+derived from the arguments that operation declares in ``OPS``. Flags mirror
 environment variables with the ``BROKER_`` prefix.
 """
 
@@ -14,9 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-from .broker import OPS, REQUIRED
+from .broker import OPS, REQUIRED, Arg
 from .configio import build_broker, load_scenario, run_scenario
-from .errors import BrokerError, ParseError, SchemaError
+from .errors import BindFailure, BrokerError, ParseError, SchemaError
 from .service import BrokerServer, parse_address, request
 
 DEFAULT_LISTEN = "127.0.0.1:7461"
@@ -34,12 +35,81 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=int(_env("RETENTION_DAYS", "30")))
 
 
-def _client_verb(sub, name: str, arguments: list[tuple[str, dict]]):
-    parser = sub.add_parser(name)
-    parser.add_argument("--connect", default=_env("LISTEN", DEFAULT_LISTEN))
-    for arg, kwargs in arguments:
-        parser.add_argument(arg, **kwargs)
-    return parser
+# Client verbs: each names its positional arguments and maps its action (None
+# for a verb without one) to one broker operation. Every other argument that
+# the verb's ops declare is the option --<name>, typed as OPS declares it.
+CLIENT_VERBS: dict[str, tuple[tuple[str, ...], dict[str | None, str]]] = {
+    "user": (("netid",), {"add": "register_user", "deactivate": "deactivate_user",
+                          "mfa": "verify_mfa"}),
+    "group": (("name",), {"create": "create_group", "add": "set_membership",
+                          "remove": "set_membership"}),
+    "project": (("id",), {None: "register_project"}),
+    "grant": (("project", "netid", "mode"), {None: "grant_access"}),
+    "revoke": (("project", "netid", "mode"), {None: "revoke_access"}),
+    "vm": ((), {"provision": "provision_vm", "resize": "resize_vm",
+                "destroy": "destroy_vm", "read-disk": "read_disk"}),
+    "share": ((), {"create": "create_share", "acl": "set_share_acl"}),
+    "session": ((), {"open": "open_session", "close": "close_session",
+                     "resume": "resume_session"}),
+    "egress": (("session",), {"clipboard": "attempt_clipboard",
+                              "file": "attempt_file_egress"}),
+    "export": ((), {"submit": "submit_export", "adjudicate": "adjudicate_export"}),
+    "image": ((), {"submit": "submit_image", "vet": "vet_image",
+                   "approve": "approve_image", "deploy": "deploy_image"}),
+    "audit": ((), {"trace": "reconstruct_session", "resolve": "resolve_identity",
+                   "verify": "verify_chain", "report": "compliance_report"}),
+}
+# What a client verb sends for an option left unset; any other unset option
+# is not sent, so the op's own default applies.
+CLI_DEFAULTS = {
+    "user": {"actor": "broker"},
+    "group": {"kind": "role"},
+    "vm": {"zone": "protected-vrf", "cpu": 4, "ram": 16},
+    "share": {"protocol": "cifs", "capacity_tb": 1.0, "actor": "broker"},
+    "session": {"mode": "rdp"},
+    "image": {"source": "campus"},
+    "audit": {"start": 0},
+}
+# Op argument -> the parsed option that carries it, where the names differ.
+OPTION_OF = {"group": "name", "endpoint_managed": "managed"}
+
+
+def _connect_address(text: str) -> tuple[str, int]:
+    try:
+        return parse_address(text)
+    except BindFailure as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parsed_as(arg: Arg) -> dict:
+    """How argparse reads one declared argument."""
+    if arg.kind is bool:
+        return {"action": "store_true", "default": False}
+    if arg.kind in (int, float):
+        return {"type": arg.kind}
+    if arg.values is not None:
+        return {"choices": arg.values}
+    return {"help": "comma-separated"} if arg.kind is list else {}
+
+
+def _client_verb(sub, verb: str) -> None:
+    positional, ops = CLIENT_VERBS[verb]
+    parser = sub.add_parser(verb)
+    parser.add_argument("--connect", type=_connect_address,
+                        default=_env("LISTEN", DEFAULT_LISTEN))
+    if None not in ops:
+        parser.add_argument("action", choices=list(ops))
+    declared: dict[str, Arg] = {}
+    for op in ops.values():
+        for arg in OPS[op].args:
+            declared.setdefault(OPTION_OF.get(arg.name, arg.name), arg)
+    for name in positional:
+        parser.add_argument(name, **_parsed_as(declared.pop(name)))
+    declared.pop("action", None)
+    defaults = CLI_DEFAULTS.get(verb, {})
+    for name, arg in declared.items():
+        parser.add_argument("--" + name.replace("_", "-"),
+                            **{"default": defaults.get(name), **_parsed_as(arg)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,140 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_serve)
     p_serve.add_argument("--listen", default=_env("LISTEN", DEFAULT_LISTEN))
 
-    # client verbs: each maps to exactly one broker operation
-    _client_verb(sub, "user", [
-        ("action", {"choices": ["add", "deactivate", "mfa"]}),
-        ("netid", {}),
-        ("--affiliation", {"default": "member"}),
-        ("--sponsor", {"default": None}),
-        ("--mfa-secret", {"default": None}),
-        ("--proof", {"default": None}),
-        ("--actor", {"default": "broker"}),
-    ])
-    _client_verb(sub, "group", [
-        ("action", {"choices": ["create", "add", "remove"]}),
-        ("name", {}),
-        ("--netid", {"default": None}),
-        ("--kind", {"default": "role"}),
-        ("--actor", {"required": True}),
-    ])
-    _client_verb(sub, "project", [
-        ("id", {}),
-        ("--classification", {"required": True}),
-        ("--stewards", {"required": True, "help": "comma-separated netids"}),
-        ("--zone", {"default": "protected-vrf"}),
-        ("--actor", {"required": True}),
-    ])
-    _client_verb(sub, "grant", [
-        ("project", {}), ("netid", {}), ("mode", {"choices": ["vpn", "rdp"]}),
-        ("--actor", {"required": True}),
-    ])
-    _client_verb(sub, "revoke", [
-        ("project", {}), ("netid", {}), ("mode", {"choices": ["vpn", "rdp"]}),
-        ("--actor", {"required": True}),
-    ])
-    _client_verb(sub, "vm", [
-        ("action", {"choices": ["provision", "resize", "destroy", "read-disk"]}),
-        ("--project", {"default": None}),
-        ("--zone", {"default": "protected-vrf"}),
-        ("--vm", {"default": None}),
-        ("--cpu", {"type": int, "default": 4}),
-        ("--ram", {"type": int, "default": 16}),
-        ("--dedicated", {"action": "store_true"}),
-    ])
-    _client_verb(sub, "share", [
-        ("action", {"choices": ["create", "acl"]}),
-        ("--project", {"default": None}),
-        ("--share", {"default": None}),
-        ("--protocol", {"default": "cifs"}),
-        ("--capacity-tb", {"type": float, "default": 1.0}),
-        ("--dedicated-device", {"action": "store_true"}),
-        ("--groups", {"default": ""}),
-        ("--actor", {"default": "broker"}),
-    ])
-    _client_verb(sub, "session", [
-        ("action", {"choices": ["open", "close", "resume"]}),
-        ("--netid", {"default": None}),
-        ("--project", {"default": None}),
-        ("--mode", {"choices": ["vpn", "rdp"], "default": "rdp"}),
-        ("--managed", {"action": "store_true"}),
-        ("--session", {"default": None}),
-    ])
-    _client_verb(sub, "egress", [
-        ("action", {"choices": ["clipboard", "file"]}),
-        ("session", {}),
-        ("--direction", {"choices": ["in", "out"], "default": "out"}),
-        ("--object", {"default": "file"}),
-    ])
-    _client_verb(sub, "export", [
-        ("action", {"choices": ["submit", "adjudicate"]}),
-        ("--session", {"default": None}),
-        ("--payload", {"default": None}),
-        ("--request", {"default": None}),
-        ("--broker", {"dest": "broker_netid", "default": None}),
-        ("--verdict", {"choices": ["approved", "denied"], "default": None}),
-        ("--rationale", {"default": None}),
-    ])
-    _client_verb(sub, "image", [
-        ("action", {"choices": ["submit", "vet", "approve", "deploy"]}),
-        ("--project", {"default": None}),
-        ("--image", {"default": None}),
-        ("--payload", {"default": None}),
-        ("--source", {"default": "campus"}),
-        ("--builder", {"default": None}),
-        ("--vetter", {"default": None}),
-        ("--report", {"default": None}),
-        ("--approver", {"default": None}),
-        ("--operator", {"default": None}),
-        ("--digest", {"default": None}),
-    ])
-    _client_verb(sub, "audit", [
-        ("action", {"choices": ["trace", "resolve", "verify", "report"]}),
-        ("--session", {"default": None}),
-        ("--arbitrary-user", {"default": None}),
-        ("--at", {"type": int, "default": None}),
-        ("--project", {"default": None}),
-        ("--start", {"type": int, "default": 0}),
-        ("--end", {"type": int, "default": None}),
-    ])
+    for verb in CLIENT_VERBS:
+        _client_verb(sub, verb)
     return parser
-
-
-# Client verbs: (verb, action) -> op; verbs without an action use None.
-CLIENT_OPS = {
-    ("user", "add"): "register_user",
-    ("user", "deactivate"): "deactivate_user",
-    ("user", "mfa"): "verify_mfa",
-    ("group", "create"): "create_group",
-    ("group", "add"): "set_membership",
-    ("group", "remove"): "set_membership",
-    ("project", None): "register_project",
-    ("grant", None): "grant_access",
-    ("revoke", None): "revoke_access",
-    ("vm", "provision"): "provision_vm",
-    ("vm", "resize"): "resize_vm",
-    ("vm", "destroy"): "destroy_vm",
-    ("vm", "read-disk"): "read_disk",
-    ("share", "create"): "create_share",
-    ("share", "acl"): "set_share_acl",
-    ("session", "open"): "open_session",
-    ("session", "resume"): "resume_session",
-    ("session", "close"): "close_session",
-    ("egress", "clipboard"): "attempt_clipboard",
-    ("egress", "file"): "attempt_file_egress",
-    ("export", "submit"): "submit_export",
-    ("export", "adjudicate"): "adjudicate_export",
-    ("image", "submit"): "submit_image",
-    ("image", "vet"): "vet_image",
-    ("image", "approve"): "approve_image",
-    ("image", "deploy"): "deploy_image",
-    ("audit", "trace"): "reconstruct_session",
-    ("audit", "resolve"): "resolve_identity",
-    ("audit", "verify"): "verify_chain",
-    ("audit", "report"): "compliance_report",
-}
-# Op argument -> the parsed option that carries it, where the names differ.
-OPTION_OF = {"group": "name", "endpoint_managed": "managed", "broker": "broker_netid"}
 
 
 def _require(args, names) -> None:
@@ -206,7 +145,7 @@ def _client_payload(args) -> tuple[str, dict]:
     """Map a parsed client verb onto (op, args): each argument the op
     declares is taken from the option of that name. A list argument is
     given as comma-separated values; an option left unset is not sent."""
-    op = CLIENT_OPS[(args.verb, getattr(args, "action", None))]
+    op = CLIENT_VERBS[args.verb][1][getattr(args, "action", None)]
     declared = OPS[op].args
     _require(args, [a.name for a in declared if a.default is REQUIRED])
     payload = {}
@@ -274,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # client verbs
         op, payload = _client_payload(args)
-        response = request(parse_address(args.connect), op, payload)
+        response = request(args.connect, op, payload)
         print(json.dumps(response, indent=2, default=str))
         return 0 if response.get("ok") else 1
 

@@ -15,7 +15,7 @@ from typing import Callable
 from .broker import OPS, Arg, Broker, Op, kwarg
 from .enclave import GatewayKind, RuleDirection
 from .errors import BadRequest, BrokerError, DanglingReference, ParseError, SchemaError
-from .identity import Affiliation, GroupKind
+from .identity import Affiliation
 from .ledger import AuditLedger
 from .model import AccessMode
 
@@ -63,7 +63,7 @@ _SECTIONS = {op.method: op for op in (
        kwarg("documented_by", str, "")),
     Op("users", Arg("netid"), Arg("affiliation", Affiliation, "member"),
        Arg("sponsor", str, None), kwarg("mfa_secret", str, None), kwarg("active", bool, True)),
-    Op("groups", Arg("name"), Arg("kind", GroupKind, "role"),
+    Op("groups", Arg("name"), Arg("kind", ("role",), "role"),
        Arg("owning_project", str, None), Arg("members", list, ())),
     Op("subject_map", Arg("issuer"), Arg("subjects", dict)),
 )}

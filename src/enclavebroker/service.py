@@ -94,10 +94,10 @@ class BrokerServer(socketserver.ThreadingTCPServer):
         return thread
 
 
-def parse_address(listen: str) -> tuple[str, int]:
-    host, _, port = listen.rpartition(":")
+def parse_address(address: str) -> tuple[str, int]:
+    host, _, port = address.rpartition(":")
     if not host or not port.isdigit():
-        raise BindFailure(f"listen address must be host:port, got {listen!r}")
+        raise BindFailure(f"address must be host:port, got {address!r}")
     return host, int(port)
 
 

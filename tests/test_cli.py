@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from enclavebroker.broker import OPS
-from enclavebroker.cli import _client_payload, build_parser, main
+from enclavebroker.cli import CLIENT_VERBS, _client_payload, build_parser, main
 from enclavebroker.configio import (
     Scenario,
     StepResult,
@@ -629,12 +629,135 @@ CLIENT_COMMANDS = [
      {"project": "opm-study", "start": 0}),
 ]
 
+# Command lines with an option that only the declarations in OPS give the
+# CLI, and the (op, args) each sends.
+DERIVED_COMMANDS = [
+    ("session open --netid res1 --project opm-study --src-zone campus",
+     "open_session", {"netid": "res1", "project": "opm-study", "mode": "rdp",
+                      "endpoint_managed": False, "src_zone": "campus"}),
+    ("session resume --netid res1 --project opm-study --mode vpn --src-zone campus",
+     "resume_session", {"netid": "res1", "project": "opm-study", "mode": "vpn",
+                        "endpoint_managed": False, "src_zone": "campus"}),
+    ("image deploy --image img-0001 --operator admin1 --project opm-study --digest d1"
+     " --vm vm-0001",
+     "deploy_image", {"operator": "admin1", "image": "img-0001", "project": "opm-study",
+                      "digest": "d1", "vm": "vm-0001"}),
+    ("group create opm-reviewers --owning-project opm-study --actor admin1", "create_group",
+     {"name": "opm-reviewers", "kind": "role", "owning_project": "opm-study",
+      "actor": "admin1"}),
+    ("project opm-study --classification sensitive --stewards stw1 --actor admin1"
+     " --role-rules analysts,vetters", "register_project",
+     {"actor": "admin1", "id": "opm-study", "classification": "sensitive",
+      "stewards": ["stw1"], "role_rules": ["analysts", "vetters"]}),
+    ("project opm-study --classification sensitive --stewards stw1 --actor admin1"
+     " --brokers broker1", "register_project",
+     {"actor": "admin1", "id": "opm-study", "classification": "sensitive",
+      "stewards": ["stw1"], "brokers": ["broker1"]}),
+    ("project opm-study --classification sensitive --stewards stw1 --actor admin1"
+     " --proxy-whitelist https://cran.r-project.org", "register_project",
+     {"actor": "admin1", "id": "opm-study", "classification": "sensitive",
+      "stewards": ["stw1"], "proxy_whitelist": ["https://cran.r-project.org"]}),
+    ("project opm-study --classification sensitive --stewards stw1 --actor admin1"
+     " --retention-days 7", "register_project",
+     {"actor": "admin1", "id": "opm-study", "classification": "sensitive",
+      "stewards": ["stw1"], "retention_days": 7}),
+    ("share acl --share share-0001 --actor stw1", "set_share_acl",
+     {"actor": "stw1", "share": "share-0001"}),
+]
+
+# Every client verb and action (None for a verb without one) and its op.
+CLIENT_OPS = [
+    ("user", "add", "register_user"), ("user", "deactivate", "deactivate_user"),
+    ("user", "mfa", "verify_mfa"), ("group", "create", "create_group"),
+    ("group", "add", "set_membership"), ("group", "remove", "set_membership"),
+    ("project", None, "register_project"), ("grant", None, "grant_access"),
+    ("revoke", None, "revoke_access"), ("vm", "provision", "provision_vm"),
+    ("vm", "resize", "resize_vm"), ("vm", "destroy", "destroy_vm"),
+    ("vm", "read-disk", "read_disk"), ("share", "create", "create_share"),
+    ("share", "acl", "set_share_acl"), ("session", "open", "open_session"),
+    ("session", "resume", "resume_session"), ("session", "close", "close_session"),
+    ("egress", "clipboard", "attempt_clipboard"), ("egress", "file", "attempt_file_egress"),
+    ("export", "submit", "submit_export"), ("export", "adjudicate", "adjudicate_export"),
+    ("image", "submit", "submit_image"), ("image", "vet", "vet_image"),
+    ("image", "approve", "approve_image"), ("image", "deploy", "deploy_image"),
+    ("audit", "trace", "reconstruct_session"), ("audit", "resolve", "resolve_identity"),
+    ("audit", "verify", "verify_chain"), ("audit", "report", "compliance_report"),
+]
+# The arguments each verb takes by position, after its action, and the op
+# arguments whose option has another name.
+POSITIONAL = {"user": ["netid"], "group": ["name"], "project": ["id"],
+              "grant": ["project", "netid", "mode"], "revoke": ["project", "netid", "mode"],
+              "egress": ["session"]}
+RENAMED = {"group": "name", "endpoint_managed": "managed"}
+
+
+def _sample(arg):
+    """A value of the declared type that no default supplies."""
+    if arg.kind is bool:
+        return True
+    if arg.kind in (int, float):
+        return arg.kind(7)
+    if arg.kind is list:
+        return ["a", "b"]
+    return arg.values[0] if arg.values is not None else f"{arg.name}-x"
+
 
 class TestClientVerbs:
-    @pytest.mark.parametrize("command,op,payload", CLIENT_COMMANDS)
+    @pytest.mark.parametrize("command,op,payload", CLIENT_COMMANDS + DERIVED_COMMANDS)
     def test_command_line_maps_to_one_op(self, command, op, payload):
         args = build_parser().parse_args(command.split())
         assert _client_payload(args) == (op, payload)
+
+    def test_client_verbs_send_the_same_ops(self):
+        assert {(verb, action, op) for verb, (_, ops) in CLIENT_VERBS.items()
+                for action, op in ops.items()} == set(CLIENT_OPS)
+
+    @pytest.mark.parametrize("verb,action,op", CLIENT_OPS)
+    def test_each_declared_argument_is_sent(self, verb, action, op):
+        positional = POSITIONAL.get(verb, [])
+        slots, options, expected = {}, [], {}
+        for arg in OPS[op].args:
+            if arg.name == "action":
+                expected["action"] = action
+                continue
+            expected[arg.name] = value = _sample(arg)
+            name = RENAMED.get(arg.name, arg.name)
+            text = ",".join(value) if isinstance(value, list) else str(value)
+            if name in positional:
+                slots[name] = text
+            elif value is True:
+                options.append("--" + name.replace("_", "-"))
+            else:
+                options += ["--" + name.replace("_", "-"), text]
+        words = [verb, *([action] if action else []), *(slots[n] for n in positional),
+                 *options]
+        assert _client_payload(build_parser().parse_args(words)) == (op, expected)
+
+    @pytest.mark.parametrize("command", [
+        "project p1 --classification secret --stewards stw1 --actor admin1",
+        "user add ab123 --affiliation alien",
+        "group create g1 --kind access-vpn --actor admin1",
+    ])
+    def test_a_value_outside_the_declared_ones_exits_two_before_connecting(
+            self, capsys, command):
+        with pytest.raises(SystemExit) as caught:
+            main(command.split() + ["--connect", "127.0.0.1:1"])
+        assert caught.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", ["nohost", "127.0.0.1:port", ":7461"])
+    def test_malformed_connect_exits_two_before_connecting(self, capsys, address):
+        with pytest.raises(SystemExit) as caught:
+            main(["audit", "verify", "--connect", address])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --connect: address must be host:port" in err
+        assert "bind-failure" not in err
+
+    def test_malformed_listen_is_still_a_bind_failure(self, capsys):
+        assert main(["serve", "--topology", str(TOPOLOGY), "--directory", str(DIRECTORY),
+                     "--listen", "nohost"]) == 1
+        assert "bind-failure: address must be host:port" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,option", [
         ("vm provision", "--project"),
@@ -667,6 +790,15 @@ class TestClientVerbs:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["ok"] is ok
         assert captured.err == ""
+
+    @pytest.mark.parametrize("command,code", [
+        ("project p1 --classification sensitive --actor admin1", "empty-stewards"),
+        ("group create g1", "unauthorized"),
+    ])
+    def test_an_option_with_an_op_default_is_left_to_the_server(self, capsys, served,
+                                                                command, code):
+        assert main(command.split() + ["--connect", served]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == code
 
     def test_nothing_listening_exits_three(self, capsys):
         with socket.socket() as probe:

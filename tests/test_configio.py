@@ -108,6 +108,8 @@ SINGLE_FAULTS = {
                                   _user({"netid": "bob-aff", "affiliation": "affiliate"}),
                                   SchemaError),
     "shadow-group": ("directory", _group(kind="shadow"), SchemaError),
+    "access-group": ("directory", _group(kind="access-vpn", owning_project="study"),
+                     SchemaError),
     "shadow-group-name": ("directory", _group(name="shadow:analysts"), SchemaError),
     "duplicate-group": ("directory", _group(name="analysts"), SchemaError),
     "unknown-group-member": ("directory", _group(members=["ghost"]), DanglingReference),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from enclavebroker.errors import (
     AssertionExpired,
+    BadRequest,
     BrokerError,
     DuplicateId,
     DuplicateNetid,
@@ -272,11 +273,27 @@ class TestGroupNames:
     @pytest.mark.parametrize("name, kind", [("analysts", "role"), ("analysts", "access-vpn"),
                                             ("study-vpn", "role"), ("study-rdp", "access-rdp")])
     def test_create_group_refuses_a_taken_name(self, broker, name, kind):
+        # An access kind is refused as a bad request before the name is looked up.
         held = broker.directory.group(name)
-        with pytest.raises(DuplicateId) as caught:
+        with pytest.raises(BrokerError) as caught:
             broker.op("create_group", {"actor": "admin1", "name": name, "kind": kind})
-        assert caught.value.code == "duplicate-id"
+        assert caught.value.code == ("duplicate-id" if kind == "role" else "bad-request")
         assert broker.directory.group(name) is held
+
+    @pytest.mark.parametrize("kind", ["access-vpn", "access-rdp", "shadow"])
+    def test_create_group_makes_role_groups_only(self, broker, kind):
+        # Only register_project makes access groups: an access group made
+        # here would edit its owning project's group in its stead.
+        before = broker.ledger.export_text()
+        with pytest.raises(BadRequest, match="argument 'kind' must be one of role$"):
+            broker.op("create_group", {"actor": "admin1", "name": "extra", "kind": kind,
+                                       "owning_project": "study"})
+        assert not broker.directory.has_group("extra")
+        with pytest.raises(UnknownGroup):
+            broker.op("set_membership", {"actor": "stw1", "group": "extra",
+                                         "netid": "res1", "action": "add"})
+        assert "res1" not in broker.directory.group("study-vpn").members
+        assert broker.ledger.export_text() == before
 
     @pytest.mark.parametrize("name", ["shadow:analysts", "shadow:study-rdp", "shadow:new"])
     def test_create_group_refuses_a_shadow_name(self, broker, name):
