@@ -361,8 +361,4 @@ class Broker:
         return {"arbitrary_user": arbitrary_user, "netid": netid}
 
     def _reconstruct_session(self, session: str) -> dict:
-        events = self.ledger.reconstruct_session(session)
-        return {"session": session,
-                "events": [{"seq": e.seq, "at": e.at, "actor": e.actor,
-                            "action": e.action, "object": e.object,
-                            "detail": e.detail.copy()} for e in events]}
+        return {"session": session, "events": self.ledger.session_records(session)}

@@ -59,16 +59,20 @@ CLIENT_VERBS: dict[str, tuple[tuple[str, ...], dict[str | None, str]]] = {
     "audit": ((), {"trace": "reconstruct_session", "resolve": "resolve_identity",
                    "verify": "verify_chain", "report": "compliance_report"}),
 }
-# What a client verb sends for an option left unset; any other unset option
-# is not sent, so the op's own default applies.
+# What a client command sends for an option left unset, by the op it sends:
+# a default serves its own action only, so it never fills an argument that
+# another action of the same verb requires. Any other unset option is not
+# sent, so the op's own default applies.
 CLI_DEFAULTS = {
-    "user": {"actor": "broker"},
-    "group": {"kind": "role"},
-    "vm": {"zone": "protected-vrf", "cpu": 4, "ram": 16},
-    "share": {"protocol": "cifs", "capacity_tb": 1.0, "actor": "broker"},
-    "session": {"mode": "rdp"},
-    "image": {"source": "campus"},
-    "audit": {"start": 0},
+    "register_user": {"actor": "broker"},
+    "create_group": {"kind": "role"},
+    "provision_vm": {"zone": "protected-vrf", "cpu": 4, "ram": 16},
+    "resize_vm": {"cpu": 4, "ram": 16},
+    "create_share": {"protocol": "cifs", "capacity_tb": 1.0},
+    "open_session": {"mode": "rdp"},
+    "resume_session": {"mode": "rdp"},
+    "submit_image": {"source": "campus"},
+    "compliance_report": {"start": 0},
 }
 # Op argument -> the parsed option that carries it, where the names differ.
 OPTION_OF = {"group": "name", "endpoint_managed": "managed"}
@@ -106,10 +110,8 @@ def _client_verb(sub, verb: str) -> None:
     for name in positional:
         parser.add_argument(name, **_parsed_as(declared.pop(name)))
     declared.pop("action", None)
-    defaults = CLI_DEFAULTS.get(verb, {})
     for name, arg in declared.items():
-        parser.add_argument("--" + name.replace("_", "-"),
-                            **{"default": defaults.get(name), **_parsed_as(arg)})
+        parser.add_argument("--" + name.replace("_", "-"), **_parsed_as(arg))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,9 +145,13 @@ def _require(args, names) -> None:
 
 def _client_payload(args) -> tuple[str, dict]:
     """Map a parsed client verb onto (op, args): each argument the op
-    declares is taken from the option of that name. A list argument is
-    given as comma-separated values; an option left unset is not sent."""
+    declares is taken from the option of that name, or from the op's
+    ``CLI_DEFAULTS`` when it is unset. A list argument is given as
+    comma-separated values; an option still unset is not sent."""
     op = CLIENT_VERBS[args.verb][1][getattr(args, "action", None)]
+    for name, value in CLI_DEFAULTS.get(op, {}).items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     declared = OPS[op].args
     _require(args, [a.name for a in declared if a.default is REQUIRED])
     payload = {}

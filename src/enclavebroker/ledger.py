@@ -9,12 +9,12 @@ happened during a given session.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import operator
+import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import MutableSequence
+from collections.abc import Callable, MutableSequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -74,10 +74,11 @@ EXPORT_FIELDS = ("seq", "at", "actor", "action", "object", "detail", "prev_hash"
 
 
 class _Detail(dict):
-    """A stored event's detail: a dict whose own mutators raise, so no reader
-    can change a stored event in place. Being a dict, it compares, encodes
-    and hashes like the plain dict it was built from; ``copy()`` returns a
-    plain dict."""
+    """The detail of an event read out of the ledger: a dict whose own
+    mutators raise, so no reader changes it by mistake. Each read builds a
+    fresh one from the stored row, so not even a write behind its back
+    reaches the store. Being a dict, it compares, encodes and hashes like
+    the plain dict it was built from; ``copy()`` returns a plain dict."""
 
     __slots__ = ()
 
@@ -146,6 +147,176 @@ def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
     record = {"seq": seq, "at": at, "actor": actor, "action": action, "object": object_id,
               "detail": dict(items), "prev_hash": prev_hash, "this_hash": this_hash}
     return json.dumps(record, separators=(",", ":"))
+
+
+# -- rows ------------------------------------------------------------------------
+#
+# The store keeps each event as one flat tuple, a row:
+#
+#     (seq, at, actor, action, object, prev_hash, this_hash, shape, *detail values)
+#
+# A tuple that holds only ints and strs is untracked by the garbage
+# collector at the first collection it survives, so stored events cost no
+# collector work. ``shape`` is the int id of the detail's keys in insertion
+# order, and indexes ``_SHAPES``: the codecs that encode or decode a row of
+# that shape, shared by every ledger in the process. Shape 0 is the general
+# one: its rows carry the detail as key, value, key, value, ..., and its
+# codecs go through ``_canonical_json``, so a field of any type encodes as
+# it did before it was stored. A row takes another shape only when seq and
+# at are ints and every other field, key and value is a str.
+
+_GENERAL = 0
+_CODECS = ("hash_input", "export_line", "wire", "detail")
+
+
+class _Shape:
+    """The codecs of one detail shape, each a function of a row: the hash
+    input, the export line, the record ``reconstruct_session`` sends on the
+    wire, and the read-only detail of a read-out event. Each codec is made
+    on its first call, so a shape pays only for the codecs it is used
+    with. ``fields`` maps each key to its value's position in the row; the
+    general shape has none, as its rows carry their own keys."""
+
+    __slots__ = ("keys", "fields", *_CODECS)
+
+    def __init__(self, keys: tuple[str, ...] | None):
+        self.keys = keys
+        if keys is not None:
+            self.fields = {key: 8 + i for i, key in enumerate(keys)}
+            for codec in _CODECS:
+                setattr(self, codec, self._first_call(codec))
+
+    def _first_call(self, codec: str) -> Callable:
+        def first_call(row):
+            made = _make(codec, self.keys)
+            setattr(self, codec, made)
+            return made(row)
+        return first_call
+
+
+def _general_detail(row) -> dict:
+    return dict(zip(row[8::2], row[9::2]))
+
+
+def _general_fields(row) -> dict:
+    return {key: 9 + 2 * i for i, key in enumerate(row[8::2])}
+
+
+def _general_shape() -> _Shape:
+    shape = _Shape(None)
+    shape.fields = None
+    shape.hash_input = lambda r: _canonical_json(r[0], r[1], r[2], r[3], r[4],
+                                                 _general_detail(r), r[5], None, export=False)
+    shape.export_line = lambda r: _canonical_json(r[0], r[1], r[2], r[3], r[4],
+                                                  _general_detail(r), r[5], r[6], export=True)
+    shape.wire = lambda r: {"seq": r[0], "at": r[1], "actor": r[2], "action": r[3],
+                            "object": r[4], "detail": _general_detail(r)}
+    shape.detail = lambda r: _Detail(_general_detail(r))
+    return shape
+
+
+_SHAPES: list[_Shape] = [_general_shape()]
+_SHAPE_IDS: dict[tuple[str, ...], int] = {}
+_FACTORIES: dict[tuple[str, int], Callable] = {}  # (codec, detail length) -> factory
+_REGISTERING = threading.Lock()
+
+
+def _shape_id(keys: tuple[str, ...]) -> int:
+    """The id of the shape with these keys, registered on its first use."""
+    sid = _SHAPE_IDS.get(keys)
+    if sid is None:
+        with _REGISTERING:
+            sid = _SHAPE_IDS.get(keys)
+            if sid is None:
+                _SHAPES.append(_Shape(keys))
+                sid = _SHAPE_IDS[keys] = len(_SHAPES) - 1
+    return sid
+
+
+def _make(codec: str, keys: tuple[str, ...]) -> Callable:
+    """One codec of the shape with these keys. Its code is generated once
+    per codec and detail length, by ``_factory``; what is particular to
+    the shape is bound as constants: the keys (``k``), the positions of
+    the values in key order (``p``), and the fixed text before each of
+    those values and after the last (``t``)."""
+    n = len(keys)
+    factory = _FACTORIES.get((codec, n))
+    if factory is None:
+        factory = _FACTORIES[codec, n] = _factory(codec, n)
+    if codec == "wire":
+        return factory(*keys)
+    if codec == "detail":
+        return factory(_Detail, *keys)
+    order = sorted(range(n), key=keys.__getitem__)
+    quoted = [_quote(keys[i]) for i in order]
+    if codec == "hash_input":
+        text = [("],[" if j else ",[[") + key + "," for j, key in enumerate(quoted)]
+        text.append("]]," if n else ",[],")
+    else:
+        text = [("," if j else ',"detail":{') + key + ":" for j, key in enumerate(quoted)]
+        text.append('},"prev_hash":' if n else ',"detail":{},"prev_hash":')
+    return factory(_quote, *[8 + i for i in order], *text)
+
+
+def _factory(codec: str, n: int) -> Callable:
+    """Generate, with a single ``exec`` as ``dataclasses`` builds
+    ``__init__``, the factory of one codec for details of ``n`` keys. The
+    codec is one expression over the row. The source depends on the codec
+    and ``n`` alone, so key text never enters it."""
+    keys = [f"k{i}" for i in range(n)]
+    detail = "{" + ", ".join(f"k{i}: r[{8 + i}]" for i in range(n)) + "}"
+    values = "".join(f"{{t{j}}}{{q(r[p{j}])}}" for j in range(n)) + f"{{t{n}}}"
+    if codec == "hash_input":
+        params = ["q", *[f"p{j}" for j in range(n)], *[f"t{j}" for j in range(n + 1)]]
+        body = "f" + repr("[{r[0]},{r[1]},{q(r[2])},{q(r[3])},{q(r[4])}"
+                          + values + "{q(r[5])}]")
+    elif codec == "export_line":
+        params = ["q", *[f"p{j}" for j in range(n)], *[f"t{j}" for j in range(n + 1)]]
+        body = "f" + repr('{{"seq":{r[0]},"at":{r[1]},"actor":{q(r[2])},"action":{q(r[3])},'
+                          '"object":{q(r[4])}' + values + '{q(r[5])},"this_hash":{q(r[6])}}}')
+    elif codec == "wire":
+        params = keys
+        body = ('{"seq": r[0], "at": r[1], "actor": r[2], "action": r[3], "object": r[4],'
+                f' "detail": {detail}}}')
+    else:
+        params = ["D", *keys]
+        body = f"D({detail})"
+    namespace: dict = {}
+    exec(f"def factory({', '.join(params)}):\n    return lambda r: {body}\n", namespace)
+    return namespace["factory"]
+
+
+def _pack(seq, at, actor, action, object_id, prev_hash, this_hash, detail: dict,
+          plain: bool) -> list:
+    """An event's row, as a list. ``plain``: seq and at are ints and every
+    other field, key and value is a str, so the row takes a compiled shape."""
+    if plain:
+        return [seq, at, actor, action, object_id, prev_hash, this_hash,
+                _shape_id(tuple(detail)), *detail.values()]
+    return [seq, at, actor, action, object_id, prev_hash, this_hash, _GENERAL,
+            *[x for pair in detail.items() for x in pair]]
+
+
+def _row(event: AuditEvent) -> tuple:
+    """The row that stores ``event``."""
+    detail = event.detail
+    plain = (type(event.seq) is int and type(event.at) is int
+             and all(isinstance(x, str) for x in (
+                 event.actor, event.action, event.object, event.prev_hash, event.this_hash,
+                 *detail, *detail.values())))
+    return tuple(_pack(event.seq, event.at, event.actor, event.action, event.object,
+                       event.prev_hash, event.this_hash, detail, plain))
+
+
+def _event(row) -> AuditEvent:
+    """A fresh event read out of a row, with a read-only detail."""
+    return AuditEvent(row[0], row[1], row[2], row[3], row[4], _SHAPES[row[7]].detail(row),
+                      row[5], row[6])
+
+
+def _row_hash(row) -> str:
+    """The chain digest of a row: ``event_hash`` of its fields."""
+    return hashlib.sha256(_SHAPES[row[7]].hash_input(row).encode("utf-8")).hexdigest()
 
 
 def _count(times: list[int], start: int, end: int) -> int:
@@ -220,39 +391,34 @@ class _MappingSpan:
     end: int | None = None
 
 
-def _stored(event: AuditEvent) -> AuditEvent:
-    """The event as the store keeps it: with a read-only detail."""
-    if type(event.detail) is _Detail:
-        return event
-    return dataclasses.replace(event, detail=_Detail(event.detail))
-
-
 class _EventStore(MutableSequence):
-    """The ledger's events, and ``verified``: the count of leading events the
-    last ``verify_chain`` passed. ``AuditLedger.append`` adds its new event
-    to ``items`` itself. Every other write goes through the methods here,
-    which store the event with a read-only detail and lower ``verified`` to
-    the position they touch, so that event and all after it are rehashed by
-    the next verify."""
+    """The ledger's rows, in ``items``, and ``verified``: the count of
+    leading rows the last ``verify_chain`` passed. A read builds a fresh
+    ``AuditEvent``. ``AuditLedger.append`` adds its new row to ``items``
+    itself. Every other write goes through the methods here, which store
+    the event as a row and lower ``verified`` to the position they touch,
+    so that row and all after it are rehashed by the next verify."""
 
     __slots__ = ("items", "verified")
 
     def __init__(self) -> None:
-        self.items: list[AuditEvent] = []
+        self.items: list[tuple] = []
         self.verified = 0
 
     def __len__(self) -> int:
         return len(self.items)
 
     def __getitem__(self, index):
-        return self.items[index]
+        if isinstance(index, slice):
+            return [_event(row) for row in self.items[index]]
+        return _event(self.items[index])
 
     def __iter__(self):
-        return iter(self.items)
+        return map(_event, self.items)
 
     def __setitem__(self, index: int, event: AuditEvent) -> None:
         self._lower(index)
-        self.items[index] = _stored(event)
+        self.items[index] = _row(event)
 
     def __delitem__(self, index: int) -> None:
         self._lower(index)
@@ -260,7 +426,7 @@ class _EventStore(MutableSequence):
 
     def insert(self, index: int, event: AuditEvent) -> None:
         self._lower(index)
-        self.items.insert(index, _stored(event))
+        self.items.insert(index, _row(event))
 
     def _lower(self, index: int) -> None:
         """Lower the watermark to the position a write at ``index`` touches.
@@ -275,19 +441,20 @@ class _EventStore(MutableSequence):
 class AuditLedger:
     """The append-only event store. There is no update or delete operation.
 
-    Events live in an ``_EventStore``: each is a frozen ``AuditEvent`` whose
-    detail is read-only, and the store remembers how many leading events
-    the last ``verify_chain`` passed.
+    Events live in an ``_EventStore`` as rows, which the indices below
+    share; a read builds a frozen ``AuditEvent`` with a read-only detail.
+    The store remembers how many leading events the last ``verify_chain``
+    passed.
     """
 
     def __init__(self, clock: SimClock):
         self._clock = clock
         self._events = _EventStore()
         self._last_hash = GENESIS_HASH
-        # Session lookups read the events themselves. Reports read only
+        # Session lookups read the rows themselves. Reports read only
         # per-project times, kept in ledger order; ledger time never
         # decreases, so each list is sorted and a report bisects it.
-        self._by_session: dict[str, list[AuditEvent]] = {}
+        self._by_session: dict[str, list[tuple]] = {}
         self._project_times: dict[str, _ProjectTimes] = {}
         self._projects: dict[str, tuple[str, ...]] = {}  # project -> stewards, sorted
         self._affiliates: set[str] = set()
@@ -301,69 +468,78 @@ class AuditLedger:
                detail: dict[str, str] | None = None) -> int:
         if action not in ACTIONS:
             raise UnknownAction(f"action {action!r} not in the closed vocabulary")
-        detail = _Detail(detail or {})
+        if detail is None:
+            detail = {}
         for key, value in detail.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise TypeError("event detail must be a flat string map")
         at = self._clock.now
-        events = self._events.items
-        seq = len(events) + 1
-        digest = event_hash(seq, at, actor, action, object_id, detail, self._last_hash)
-        event = AuditEvent(seq, at, actor, action, object_id, detail, self._last_hash, digest)
-        events.append(event)
+        rows = self._events.items
+        seq = len(rows) + 1
+        plain = type(at) is int and isinstance(actor, str) and isinstance(object_id, str)
+        row = _pack(seq, at, actor, action, object_id, self._last_hash, "", detail, plain)
+        row[6] = digest = _row_hash(row)
+        row = tuple(row)
+        rows.append(row)
         self._last_hash = digest
-        self._index(event)
+        self._index(row)
         return seq
 
-    def _index(self, event: AuditEvent) -> None:
+    def _index(self, row: tuple) -> None:
+        fields = _SHAPES[row[7]].fields
+        if fields is None:
+            fields = _general_fields(row)
+        action, object_id = row[3], row[4]
         sid = None
-        if event.object.startswith("s-") and event.object[2:].isdigit():
-            sid = event.object
-        elif "session" in event.detail:
-            sid = event.detail["session"]
+        if object_id.startswith("s-") and object_id[2:].isdigit():
+            sid = object_id
+        elif "session" in fields:
+            sid = row[fields["session"]]
         if sid is not None:
-            self._by_session.setdefault(sid, []).append(event)
-        if event.action in _REPORTED and "project" in event.detail:
-            self._index_project(event.detail["project"], event)
-        if (event.action == "register" and event.detail.get("affiliation") == "affiliate"
-                and "netid" in event.detail):
-            self._affiliates.add(event.detail["netid"])
-        elif event.action == "project-create":
-            self._projects[event.object] = tuple(
-                s for s in event.detail.get("stewards", "").split(",") if s)
-        elif event.action == "map":
-            span = _MappingSpan(principal=event.detail["principal"], start=event.at)
-            self._spans.setdefault(event.detail["arbitrary_user"], []).append(span)
-            self._span_by_session[event.object] = span
-        elif event.action in ("close", "revoke-forced-close"):
-            span = self._span_by_session.pop(event.object, None)
+            self._by_session.setdefault(sid, []).append(row)
+        if action in _REPORTED and "project" in fields:
+            self._index_project(row[fields["project"]], row, fields)
+        if action == "register":
+            if ("netid" in fields and "affiliation" in fields
+                    and row[fields["affiliation"]] == "affiliate"):
+                self._affiliates.add(row[fields["netid"]])
+        elif action == "project-create":
+            stewards = row[fields["stewards"]] if "stewards" in fields else ""
+            self._projects[object_id] = tuple(s for s in stewards.split(",") if s)
+        elif action == "map":
+            span = _MappingSpan(principal=row[fields["principal"]], start=row[1])
+            self._spans.setdefault(row[fields["arbitrary_user"]], []).append(span)
+            self._span_by_session[object_id] = span
+        elif action in ("close", "revoke-forced-close"):
+            span = self._span_by_session.pop(object_id, None)
             if span is not None:
-                span.end = event.at
+                span.end = row[1]
 
-    def _index_project(self, project: str, event: AuditEvent) -> None:
+    def _index_project(self, project: str, row: tuple, fields: dict[str, int]) -> None:
         times = self._project_times.get(project)
         if times is None:
             times = self._project_times[project] = _ProjectTimes()
-        action, detail, at = event.action, event.detail, event.at
+        action, at = row[3], row[1]
         if action in _COUNTED:
             times.counted.setdefault(action, []).append(at)
         elif action == "map":
-            times.maps_by_mode.setdefault(detail.get("mode", ""), []).append(at)
-            if "vm" in detail:
-                times.maps_by_vm.setdefault(detail["vm"], []).append(at)
+            mode = row[fields["mode"]] if "mode" in fields else ""
+            times.maps_by_mode.setdefault(mode, []).append(at)
+            if "vm" in fields:
+                times.maps_by_vm.setdefault(row[fields["vm"]], []).append(at)
         elif action == "traverse":
-            if detail.get("via", "").startswith("exception"):
+            if "via" in fields and row[fields["via"]].startswith("exception"):
                 times.exception_traversals.append(at)
         elif action == "provision":
-            times.provisioned[event.object] = at
+            times.provisioned[row[4]] = at
         else:  # destroy
-            times.destroyed.setdefault(event.object, at)
+            times.destroyed.setdefault(row[4], at)
 
     # -- reading -----------------------------------------------------------
 
     @property
     def events(self) -> list[AuditEvent]:
-        return self._events.items.copy()
+        return [_event(row) for row in self._events.items]
 
     def __len__(self) -> int:
         return len(self._events.items)
@@ -383,10 +559,19 @@ class AuditLedger:
         raise NoSessionAtTime(f"{arbitrary_user} owned no session at t={at}")
 
     def reconstruct_session(self, session_id: str) -> list[AuditEvent]:
-        events = self._by_session.get(session_id)
-        if not events:
+        rows = self._by_session.get(session_id)
+        if not rows:
             raise UnknownSession(session_id)
-        return list(events)
+        return [_event(row) for row in rows]
+
+    def session_records(self, session_id: str) -> list[dict]:
+        """The session's events as the wire sends them: seq, at, actor,
+        action, object and a plain detail dict, built from the rows."""
+        rows = self._by_session.get(session_id)
+        if not rows:
+            raise UnknownSession(session_id)
+        shapes = _SHAPES
+        return [shapes[row[7]].wire(row) for row in rows]
 
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute the digests; returns (ok, first bad seq).
@@ -394,31 +579,32 @@ class AuditLedger:
         The events the last call passed, up to the store's watermark, have
         not been written since, so the check starts after them, from the
         stored hash of the last one: the result is the one a rehash from
-        genesis gives. A pass moves the watermark to the end, a failure at
+        genesis gives. Every event after the watermark is rehashed from its
+        stored fields. A pass moves the watermark to the end, a failure at
         a position to that position.
 
         A truncated suffix is not detectable by the chain alone; that needs a
         head count stored outside the ledger.
         """
         store = self._events
-        events = store.items
+        rows = store.items
         start = store.verified
-        prev = events[start - 1].this_hash if start else GENESIS_HASH
-        for i, event in enumerate(events[start:], start):
-            if event.seq != i + 1 or event.prev_hash != prev:
+        prev = rows[start - 1][6] if start else GENESIS_HASH
+        for i in range(start, len(rows)):
+            row = rows[i]
+            if row[0] != i + 1 or row[5] != prev:
                 store.verified = i
                 return False, i + 1
-            digest = event_hash(event.seq, event.at, event.actor, event.action,
-                                event.object, event.detail, event.prev_hash)
-            if digest != event.this_hash:
+            prev = row[6]
+            if _row_hash(row) != prev:
                 store.verified = i
-                return False, event.seq
-            prev = event.this_hash
-        store.verified = len(events)
+                return False, row[0]
+        store.verified = len(rows)
         return True, None
 
     def export_lines(self) -> list[str]:
-        return [e.export_line() for e in self._events]
+        shapes = _SHAPES
+        return [shapes[row[7]].export_line(row) for row in self._events.items]
 
     def export_text(self) -> str:
         """Every export line, each ended by a newline. Joined once, so the

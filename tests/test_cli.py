@@ -772,6 +772,17 @@ class TestClientVerbs:
         assert main(command.split() + ["--connect", "127.0.0.1:1"]) == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "user deactivate res3",
+        "share acl --share share-0001",
+    ])
+    def test_a_default_never_fills_a_required_argument_of_another_action(
+            self, capsys, command):
+        """`user add` and `share create` have defaults; the actions beside
+        them that require --actor must still be refused without it."""
+        assert main(command.split() + ["--connect", "127.0.0.1:1"]) == 2
+        assert "missing required option(s): --actor" in capsys.readouterr().err
+
     @pytest.fixture
     def served(self):
         server = BrokerServer(build_broker(TOPOLOGY, DIRECTORY, seed=1), ("127.0.0.1", 0))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import tracemalloc
 
@@ -264,13 +265,13 @@ class TestVerifiedWatermark:
     def hashed(self, monkeypatch) -> list[int]:
         """The seq of every event hashed since the list was last cleared."""
         calls: list[int] = []
-        real = ledger_module.event_hash
+        real = ledger_module._row_hash
 
-        def counted(seq, *rest):
-            calls.append(seq)
-            return real(seq, *rest)
+        def counted(row):
+            calls.append(row[0])
+            return real(row)
 
-        monkeypatch.setattr(ledger_module, "event_hash", counted)
+        monkeypatch.setattr(ledger_module, "_row_hash", counted)
         return calls
 
     def test_verify_with_nothing_new_hashes_nothing(self, hashed):
@@ -376,6 +377,102 @@ class TestReadOnlyDetail:
             assert type(event["detail"]) is dict
             event["detail"]["n"] = "changed"
         assert broker.ledger.export_text() == before
+
+
+# Text that would break generated code if it ever reached the source:
+# quotes, braces, format and escape characters, a newline, non-ASCII, and
+# a Python expression.
+_HOSTILE = st.one_of(
+    st.text(st.sampled_from(['"', "'", "{", "}", "%", "\\", "\n", "é", "☃", "\U0001f600",
+                             "k", "0", "_", "(", ")"]), max_size=6),
+    st.sampled_from(["__import__('os')", "{k0}", "{q(r[2])}", "%s", "\\u0000", "'''",
+                     '"""', "session", "project"]),
+    st.text(max_size=4))
+_JSON_SCALARS = st.one_of(_HOSTILE, st.integers(), st.booleans(), st.none())
+# Detail keys of one type each: json.dumps sorts keys, and str and int keys
+# do not compare.
+_WRITTEN_DETAIL = st.one_of(st.dictionaries(_HOSTILE, _JSON_SCALARS, max_size=4),
+                            st.dictionaries(st.integers(-3, 3), _JSON_SCALARS, max_size=3),
+                            st.dictionaries(st.booleans(), _JSON_SCALARS, max_size=2))
+_APPEND = st.tuples(st.just("append"), st.sampled_from(sorted(ledger_module.ACTIONS - {"map"})),
+                    _HOSTILE, st.one_of(st.just("s-000001"), _HOSTILE),
+                    st.dictionaries(_HOSTILE, _HOSTILE, max_size=4))
+_WRITE = st.tuples(st.sampled_from(["assign", "insert"]), st.integers(0, 63),
+                   st.one_of(st.integers(0, 99), st.booleans()),
+                   st.one_of(st.integers(0, 99), st.booleans(), _HOSTILE),
+                   st.tuples(_JSON_SCALARS, _HOSTILE, _JSON_SCALARS),
+                   _WRITTEN_DETAIL, st.tuples(_HOSTILE, _HOSTILE))
+
+
+def _record(seq, at, actor, action, object_id, detail, prev_hash, this_hash) -> dict:
+    return {"seq": seq, "at": at, "actor": actor, "action": action, "object": object_id,
+            "detail": {k: detail[k] for k in sorted(detail)}, "prev_hash": prev_hash,
+            "this_hash": this_hash}
+
+
+class TestRowCodecs:
+    """Events are stored as rows and encoded by codecs compiled per detail
+    shape; every encoding must equal the json.dumps of the same fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.one_of(_APPEND, _WRITE), max_size=12))
+    def test_hostile_fields_encode_as_json_dumps(self, steps):
+        clock = SimClock()
+        ledger = AuditLedger(clock)
+        store = ledger._events
+        written: list[tuple] = []   # each stored event's fields, in ledger order
+        traced: list[dict] = []     # the wire records of s-000001, as appended
+        last_hash = GENESIS_HASH
+        for step in steps:
+            if step[0] == "append":
+                _, action, actor, object_id, detail = step
+                clock.advance(1)
+                seq = ledger.append(actor, action, object_id, detail)
+                this_hash = event_hash(seq, clock.now, actor, action, object_id, detail,
+                                       last_hash)
+                written.append((seq, clock.now, actor, action, object_id, dict(detail),
+                                last_hash, this_hash))
+                last_hash = this_hash
+                if object_id == "s-000001" or detail.get("session") == "s-000001":
+                    traced.append({"seq": seq, "at": clock.now, "actor": actor,
+                                   "action": action, "object": object_id,
+                                   "detail": dict(detail)})
+            else:
+                kind, position, seq, at, (actor, action, object_id), detail, hashes = step
+                fields = (seq, at, actor, action, object_id, detail, *hashes)
+                j = position % (len(written) + 1)
+                if kind == "assign" and written:
+                    j = position % len(written)
+                    store[j] = AuditEvent(*fields)
+                    written[j] = fields
+                else:
+                    store.insert(j, AuditEvent(*fields))
+                    written.insert(j, fields)
+            lines = ledger.export_lines()
+            assert lines == [json.dumps(_record(*f), separators=(",", ":")) for f in written]
+            events = ledger.events
+            assert [dataclasses.astuple(e) for e in events] == [tuple(f) for f in written]
+            assert [list(e.detail.items()) for e in events] == [list(f[5].items())
+                                                                for f in written]
+            if traced:
+                records = ledger.session_records("s-000001")
+                assert records == traced
+                assert [list(r["detail"]) for r in records] == [list(r["detail"])
+                                                               for r in traced]
+            assert ledger.verify_chain() == full_rescan(ledger)
+
+    def test_stored_rows_are_untracked(self, broker):
+        """Rows of str-only details hold only ints and strs, so a collection
+        untracks them: stored events cost the collector nothing."""
+        for netid in ("res1", "res2"):
+            session, _ = open_rdp(broker, netid)
+            broker.egress.attempt_clipboard(session.id, "out")
+            broker.sessions.close_session(session.id)
+        broker.ledger.append("admin1", "register", "x", {})
+        gc.collect()
+        rows = broker.ledger._events.items
+        assert len({row[7] for row in rows}) > 5  # several detail shapes
+        assert [row for row in rows if gc.is_tracked(row)] == []
 
 
 class TestExportText:
