@@ -361,4 +361,4 @@ class Broker:
         return {"arbitrary_user": arbitrary_user, "netid": netid}
 
     def _reconstruct_session(self, session: str) -> dict:
-        return {"session": session, "events": self.ledger.session_records(session)}
+        return {"session": session, "events": self.ledger.reconstruct_session(session).records}

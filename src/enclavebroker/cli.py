@@ -61,8 +61,9 @@ CLIENT_VERBS: dict[str, tuple[tuple[str, ...], dict[str | None, str]]] = {
 }
 # What a client command sends for an option left unset, by the op it sends:
 # a default serves its own action only, so it never fills an argument that
-# another action of the same verb requires. Any other unset option is not
-# sent, so the op's own default applies.
+# another action of the same verb requires. It may fill one that its own
+# action requires (vm provision's cpu, session open's mode). Any other unset
+# option is not sent, so the op's own default applies.
 CLI_DEFAULTS = {
     "register_user": {"actor": "broker"},
     "create_group": {"kind": "role"},

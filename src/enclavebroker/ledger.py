@@ -14,7 +14,7 @@ import json
 import operator
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, MutableSequence
+from collections.abc import Callable, MutableSequence, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -116,31 +116,13 @@ def event_hash(seq: int, at: int, actor: str, action: str, object_id: str,
 def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
                     detail: dict[str, str], prev_hash: str, this_hash: str | None,
                     export: bool) -> str:
-    """The one canonical JSON of an event: the export line, or the hash input
-    `[seq,at,actor,action,object,[[k,v],...],prev_hash]`.
-
-    Both are built by hand and equal `json.dumps` of the same values with
-    separators `(",", ":")`: strings are quoted by the C function that
-    `json.dumps` itself uses, and ints are written as `json.dumps` writes
-    them. A field of any other type (a bool, a float, None, a detail key or
-    value that is not a string) is left to `json.dumps`.
-    """
+    """The one canonical JSON of an event, as `json.dumps` writes it with
+    separators `(",", ":")`: the export line, or the hash input
+    `[seq,at,actor,action,object,[[k,v],...],prev_hash]`. The codecs of a
+    compiled shape write the same text for their rows."""
     # Keys are unique, so sorting them orders the pairs as sorting the
     # pairs would, without comparing tuples.
-    keys = sorted(detail)
-    if type(seq) is int and type(at) is int:
-        try:
-            actor_q, action_q, object_q = _quote(actor), _quote(action), _quote(object_id)
-            if not export:
-                pairs = ",".join([f"[{_quote(k)},{_quote(detail[k])}]" for k in keys])
-                return f"[{seq},{at},{actor_q},{action_q},{object_q},[{pairs}],{_quote(prev_hash)}]"
-            pairs = ",".join([f"{_quote(k)}:{_quote(detail[k])}" for k in keys])
-            return (f'{{"seq":{seq},"at":{at},"actor":{actor_q},"action":{action_q},'
-                    f'"object":{object_q},"detail":{{{pairs}}},"prev_hash":{_quote(prev_hash)},'
-                    f'"this_hash":{_quote(this_hash)}}}')
-        except TypeError:  # _quote was given a field that is not a str
-            pass
-    items = [(k, detail[k]) for k in keys]
+    items = [(k, detail[k]) for k in sorted(detail)]
     if not export:
         return json.dumps([seq, at, actor, action, object_id, items, prev_hash],
                           separators=(",", ":"))
@@ -314,6 +296,13 @@ def _event(row) -> AuditEvent:
                       row[5], row[6])
 
 
+def _read(rows: list[tuple], index):
+    """``rows[index]`` read out as fresh events: one, or a list for a slice."""
+    if isinstance(index, slice):
+        return [_event(row) for row in rows[index]]
+    return _event(rows[index])
+
+
 def _row_hash(row) -> str:
     """The chain digest of a row: ``event_hash`` of its fields."""
     return hashlib.sha256(_SHAPES[row[7]].hash_input(row).encode("utf-8")).hexdigest()
@@ -409,9 +398,7 @@ class _EventStore(MutableSequence):
         return len(self.items)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_event(row) for row in self.items[index]]
-        return _event(self.items[index])
+        return _read(self.items, index)
 
     def __iter__(self):
         return map(_event, self.items)
@@ -436,6 +423,29 @@ class _EventStore(MutableSequence):
         if index < 0:
             index = max(index + len(self.items), 0)
         self.verified = min(self.verified, index)
+
+
+class SessionTrail(Sequence):
+    """One session's events in ledger order, as ``reconstruct_session``
+    read them out. Indexing or iterating builds fresh ``AuditEvent``s;
+    ``records`` holds the same events as the wire sends them, each seq, at,
+    actor, action, object and a plain detail dict, built from the rows by
+    their shapes' wire codecs."""
+
+    __slots__ = ("_rows", "records")
+
+    def __init__(self, rows: list[tuple], records: list[dict]):
+        self._rows = rows
+        self.records = records
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return _read(self._rows, index)
+
+    def __iter__(self):
+        return map(_event, self._rows)
 
 
 class AuditLedger:
@@ -558,20 +568,12 @@ class AuditLedger:
                 return span.principal
         raise NoSessionAtTime(f"{arbitrary_user} owned no session at t={at}")
 
-    def reconstruct_session(self, session_id: str) -> list[AuditEvent]:
-        rows = self._by_session.get(session_id)
-        if not rows:
-            raise UnknownSession(session_id)
-        return [_event(row) for row in rows]
-
-    def session_records(self, session_id: str) -> list[dict]:
-        """The session's events as the wire sends them: seq, at, actor,
-        action, object and a plain detail dict, built from the rows."""
+    def reconstruct_session(self, session_id: str) -> SessionTrail:
         rows = self._by_session.get(session_id)
         if not rows:
             raise UnknownSession(session_id)
         shapes = _SHAPES
-        return [shapes[row[7]].wire(row) for row in rows]
+        return SessionTrail(rows[:], [shapes[row[7]].wire(row) for row in rows])
 
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute the digests; returns (ok, first bad seq).

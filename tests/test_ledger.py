@@ -378,6 +378,25 @@ class TestReadOnlyDetail:
             event["detail"]["n"] = "changed"
         assert broker.ledger.export_text() == before
 
+    def test_wire_trace_reads_through_reconstruct_session(self, broker, monkeypatch):
+        """The op's records are the trail's, one call to the ledger's
+        reconstruct_session, so a span on that method covers the op."""
+        session, _ = open_rdp(broker)
+        calls = []
+        real = AuditLedger.reconstruct_session
+
+        def counted(ledger, session_id):
+            calls.append(session_id)
+            return real(ledger, session_id)
+
+        monkeypatch.setattr(AuditLedger, "reconstruct_session", counted)
+        trace = broker.op("reconstruct_session", {"session": session.id})
+        assert calls == [session.id]
+        trail = real(broker.ledger, session.id)
+        assert trace["events"] == trail.records == [
+            {"seq": e.seq, "at": e.at, "actor": e.actor, "action": e.action,
+             "object": e.object, "detail": e.detail} for e in trail]
+
 
 # Text that would break generated code if it ever reached the source:
 # quotes, braces, format and escape characters, a newline, non-ASCII, and
@@ -455,7 +474,7 @@ class TestRowCodecs:
             assert [list(e.detail.items()) for e in events] == [list(f[5].items())
                                                                 for f in written]
             if traced:
-                records = ledger.session_records("s-000001")
+                records = ledger.reconstruct_session("s-000001").records
                 assert records == traced
                 assert [list(r["detail"]) for r in records] == [list(r["detail"])
                                                                for r in traced]
