@@ -140,40 +140,14 @@ def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
 # A tuple that holds only ints and strs is untracked by the garbage
 # collector at the first collection it survives, so stored events cost no
 # collector work. ``shape`` is the int id of the detail's keys in insertion
-# order, and indexes ``_SHAPES``: the codecs that encode or decode a row of
-# that shape, shared by every ledger in the process. Shape 0 is the general
-# one: its rows carry the detail as key, value, key, value, ..., and its
-# codecs go through ``_canonical_json``, so a field of any type encodes as
-# it did before it was stored. A row takes another shape only when seq and
-# at are ints and every other field, key and value is a str.
+# order. It indexes the codecs that encode or decode a row of that shape,
+# shared by every ledger in the process. Shape 0 is the general one: its
+# rows carry the detail as key, value, key, value, ..., and its codecs go
+# through ``_canonical_json``, so a field of any type encodes as it did
+# before it was stored. A row takes another shape only when seq and at are
+# ints and every other field, key and value is a str.
 
 _GENERAL = 0
-_CODECS = ("hash_input", "export_line", "wire", "detail")
-
-
-class _Shape:
-    """The codecs of one detail shape, each a function of a row: the hash
-    input, the export line, the record ``reconstruct_session`` sends on the
-    wire, and the read-only detail of a read-out event. Each codec is made
-    on its first call, so a shape pays only for the codecs it is used
-    with. ``fields`` maps each key to its value's position in the row; the
-    general shape has none, as its rows carry their own keys."""
-
-    __slots__ = ("keys", "fields", *_CODECS)
-
-    def __init__(self, keys: tuple[str, ...] | None):
-        self.keys = keys
-        if keys is not None:
-            self.fields = {key: 8 + i for i, key in enumerate(keys)}
-            for codec in _CODECS:
-                setattr(self, codec, self._first_call(codec))
-
-    def _first_call(self, codec: str) -> Callable:
-        def first_call(row):
-            made = _make(codec, self.keys)
-            setattr(self, codec, made)
-            return made(row)
-        return first_call
 
 
 def _general_detail(row) -> dict:
@@ -184,35 +158,55 @@ def _general_fields(row) -> dict:
     return {key: 9 + 2 * i for i, key in enumerate(row[8::2])}
 
 
-def _general_shape() -> _Shape:
-    shape = _Shape(None)
-    shape.fields = None
-    shape.hash_input = lambda r: _canonical_json(r[0], r[1], r[2], r[3], r[4],
-                                                 _general_detail(r), r[5], None, export=False)
-    shape.export_line = lambda r: _canonical_json(r[0], r[1], r[2], r[3], r[4],
-                                                  _general_detail(r), r[5], r[6], export=True)
-    shape.wire = lambda r: {"seq": r[0], "at": r[1], "actor": r[2], "action": r[3],
-                            "object": r[4], "detail": _general_detail(r)}
-    shape.detail = lambda r: _Detail(_general_detail(r))
-    return shape
-
-
-_SHAPES: list[_Shape] = [_general_shape()]
+# The codecs of every shape, one list per codec, indexed by shape id. Each
+# codec is a function of a row: the hash input, the export line, the record
+# ``reconstruct_session`` sends on the wire, and the read-only detail of a
+# read-out event. A shape's codec is made on its first call, so a shape pays
+# only for the codecs it is used with. ``_FIELDS`` maps each key of a shape
+# to its value's position in the row; the general shape has none, as its
+# rows carry their own keys.
+_HASH_INPUT: list[Callable] = [
+    lambda r: _canonical_json(r[0], r[1], r[2], r[3], r[4], _general_detail(r), r[5], None,
+                              export=False)]
+_EXPORT_LINE: list[Callable] = [
+    lambda r: _canonical_json(r[0], r[1], r[2], r[3], r[4], _general_detail(r), r[5], r[6],
+                              export=True)]
+_WIRE: list[Callable] = [
+    lambda r: {"seq": r[0], "at": r[1], "actor": r[2], "action": r[3], "object": r[4],
+               "detail": _general_detail(r)}]
+_DETAIL: list[Callable] = [lambda r: _Detail(_general_detail(r))]
+_CODECS = {"hash_input": _HASH_INPUT, "export_line": _EXPORT_LINE, "wire": _WIRE,
+           "detail": _DETAIL}
+_FIELDS: list[dict[str, int] | None] = [None]
 _SHAPE_IDS: dict[tuple[str, ...], int] = {}
 _FACTORIES: dict[tuple[str, int], Callable] = {}  # (codec, detail length) -> factory
 _REGISTERING = threading.Lock()
 
 
 def _shape_id(keys: tuple[str, ...]) -> int:
-    """The id of the shape with these keys, registered on its first use."""
+    """The id of the shape with these keys, registered on its first use.
+    The id is published last, so no reader finds it before its codecs."""
     sid = _SHAPE_IDS.get(keys)
     if sid is None:
         with _REGISTERING:
             sid = _SHAPE_IDS.get(keys)
             if sid is None:
-                _SHAPES.append(_Shape(keys))
-                sid = _SHAPE_IDS[keys] = len(_SHAPES) - 1
+                sid = len(_FIELDS)
+                _FIELDS.append({key: 8 + i for i, key in enumerate(keys)})
+                for codec, codecs in _CODECS.items():
+                    codecs.append(_first_call(codec, codecs, sid, keys))
+                _SHAPE_IDS[keys] = sid
     return sid
+
+
+def _first_call(codec: str, codecs: list[Callable], sid: int,
+                keys: tuple[str, ...]) -> Callable:
+    """Stands in for a shape's codec until its first call, which makes the
+    codec and puts it in its place."""
+    def first_call(row):
+        made = codecs[sid] = _make(codec, keys)
+        return made(row)
+    return first_call
 
 
 def _make(codec: str, keys: tuple[str, ...]) -> Callable:
@@ -292,7 +286,7 @@ def _row(event: AuditEvent) -> tuple:
 
 def _event(row) -> AuditEvent:
     """A fresh event read out of a row, with a read-only detail."""
-    return AuditEvent(row[0], row[1], row[2], row[3], row[4], _SHAPES[row[7]].detail(row),
+    return AuditEvent(row[0], row[1], row[2], row[3], row[4], _DETAIL[row[7]](row),
                       row[5], row[6])
 
 
@@ -305,7 +299,7 @@ def _read(rows: list[tuple], index):
 
 def _row_hash(row) -> str:
     """The chain digest of a row: ``event_hash`` of its fields."""
-    return hashlib.sha256(_SHAPES[row[7]].hash_input(row).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_HASH_INPUT[row[7]](row).encode("utf-8")).hexdigest()
 
 
 def _count(times: list[int], start: int, end: int) -> int:
@@ -496,7 +490,7 @@ class AuditLedger:
         return seq
 
     def _index(self, row: tuple) -> None:
-        fields = _SHAPES[row[7]].fields
+        fields = _FIELDS[row[7]]
         if fields is None:
             fields = _general_fields(row)
         action, object_id = row[3], row[4]
@@ -572,8 +566,8 @@ class AuditLedger:
         rows = self._by_session.get(session_id)
         if not rows:
             raise UnknownSession(session_id)
-        shapes = _SHAPES
-        return SessionTrail(rows[:], [shapes[row[7]].wire(row) for row in rows])
+        codecs = _WIRE
+        return SessionTrail(rows[:], [codecs[row[7]](row) for row in rows])
 
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute the digests; returns (ok, first bad seq).
@@ -605,8 +599,8 @@ class AuditLedger:
         return True, None
 
     def export_lines(self) -> list[str]:
-        shapes = _SHAPES
-        return [shapes[row[7]].export_line(row) for row in self._events.items]
+        codecs = _EXPORT_LINE
+        return [codecs[row[7]](row) for row in self._events.items]
 
     def export_text(self) -> str:
         """Every export line, each ended by a newline. Joined once, so the
