@@ -15,7 +15,7 @@ from typing import Any, Callable
 from .clock import SimClock
 from .egress import EgressControl
 from .enclave import AccessContext, Enclave, RuleDirection
-from .errors import BadRequest, MfaRequired, Unauthorized, UnknownOp
+from .errors import BadRequest, MfaRequired, UnknownOp
 from .identity import (
     Affiliation,
     AuthenticatedPrincipal,
@@ -332,8 +332,7 @@ class Broker:
 
     def _create_group(self, name: str, kind: str, owning_project: str | None,
                       actor: str) -> dict:
-        if not self.directory.is_admin(actor):
-            raise Unauthorized(f"{actor} is not a platform administrator")
+        self.directory.require_admin(actor)
         group = self.directory.create_group(name, kind, owning_project, actor=actor)
         return {"group": group.name, "kind": group.kind.value}
 
@@ -361,4 +360,4 @@ class Broker:
         return {"arbitrary_user": arbitrary_user, "netid": netid}
 
     def _reconstruct_session(self, session: str) -> dict:
-        return {"session": session, "events": self.ledger.reconstruct_session(session).records}
+        return {"session": session, "events": self.ledger.reconstruct_session(session)}

@@ -289,8 +289,7 @@ class Enclave:
     def register_exception(self, actor: str, *, service: str, src: str, dst: str,
                            direction: RuleDirection | str, documented_by: str,
                            rule_id: str | None = None) -> str:
-        if not self._directory.is_admin(actor):
-            raise Unauthorized(f"{actor} is not a platform administrator")
+        self._directory.require_admin(actor)
         return self.add_exception(actor, service=service, src=src, dst=dst,
                                   direction=direction, documented_by=documented_by,
                                   rule_id=rule_id)

@@ -131,8 +131,7 @@ class Directory:
 
     def deactivate_user(self, actor: str, netid: str) -> list[str]:
         """Deactivate a user; sponsored affiliates cascade immediately."""
-        if actor not in self.admins:
-            raise Unauthorized(f"{actor} is not a platform administrator")
+        self.require_admin(actor)
         user = self._require_user(netid)
         deactivated = [netid]
         user.active = False
@@ -158,6 +157,10 @@ class Directory:
 
     def is_admin(self, netid: str) -> bool:
         return netid in self.admins
+
+    def require_admin(self, actor: str) -> None:
+        if actor not in self.admins:
+            raise Unauthorized(f"{actor} is not a platform administrator")
 
     def _require_user(self, netid: str) -> RealPersistentUser:
         user = self._users.get(netid)

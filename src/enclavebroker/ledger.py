@@ -14,7 +14,7 @@ import json
 import operator
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, MutableSequence, Sequence
+from collections.abc import Callable, MutableSequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -100,10 +100,6 @@ class AuditEvent:
     prev_hash: str
     this_hash: str
 
-    def export_line(self) -> str:
-        return _canonical_json(self.seq, self.at, self.actor, self.action, self.object,
-                               self.detail, self.prev_hash, self.this_hash, export=True)
-
 
 def event_hash(seq: int, at: int, actor: str, action: str, object_id: str,
                detail: dict[str, str], prev_hash: str) -> str:
@@ -145,7 +141,8 @@ def _canonical_json(seq: int, at: int, actor: str, action: str, object_id: str,
 # rows carry the detail as key, value, key, value, ..., and its codecs go
 # through ``_canonical_json``, so a field of any type encodes as it did
 # before it was stored. A row takes another shape only when seq and at are
-# ints and every other field, key and value is a str.
+# ints and every other field, key and value is a str. ``append`` accepts
+# nothing else, so only a write to the store can make a general row.
 
 _GENERAL = 0
 
@@ -154,17 +151,14 @@ def _general_detail(row) -> dict:
     return dict(zip(row[8::2], row[9::2]))
 
 
-def _general_fields(row) -> dict:
-    return {key: 9 + 2 * i for i, key in enumerate(row[8::2])}
-
-
 # The codecs of every shape, one list per codec, indexed by shape id. Each
-# codec is a function of a row: the hash input, the export line, the record
-# ``reconstruct_session`` sends on the wire, and the read-only detail of a
-# read-out event. A shape's codec is made on its first call, so a shape pays
-# only for the codecs it is used with. ``_FIELDS`` maps each key of a shape
-# to its value's position in the row; the general shape has none, as its
-# rows carry their own keys.
+# codec is a function of a row: the hash input, the export line, and the
+# record ``reconstruct_session`` returns and the wire sends. A shape's codec
+# is made on its first call, so a shape pays only for the codecs it is used
+# with. ``_FIELDS`` maps each key of a shape, in the shape's order, to its
+# value's position in the row; the read-only detail of a read-out event is
+# built from those keys. The general shape has none, as its rows carry
+# their own keys.
 _HASH_INPUT: list[Callable] = [
     lambda r: _canonical_json(r[0], r[1], r[2], r[3], r[4], _general_detail(r), r[5], None,
                               export=False)]
@@ -174,9 +168,7 @@ _EXPORT_LINE: list[Callable] = [
 _WIRE: list[Callable] = [
     lambda r: {"seq": r[0], "at": r[1], "actor": r[2], "action": r[3], "object": r[4],
                "detail": _general_detail(r)}]
-_DETAIL: list[Callable] = [lambda r: _Detail(_general_detail(r))]
-_CODECS = {"hash_input": _HASH_INPUT, "export_line": _EXPORT_LINE, "wire": _WIRE,
-           "detail": _DETAIL}
+_CODECS = {"hash_input": _HASH_INPUT, "export_line": _EXPORT_LINE, "wire": _WIRE}
 _FIELDS: list[dict[str, int] | None] = [None]
 _SHAPE_IDS: dict[tuple[str, ...], int] = {}
 _FACTORIES: dict[tuple[str, int], Callable] = {}  # (codec, detail length) -> factory
@@ -221,8 +213,6 @@ def _make(codec: str, keys: tuple[str, ...]) -> Callable:
         factory = _FACTORIES[codec, n] = _factory(codec, n)
     if codec == "wire":
         return factory(*keys)
-    if codec == "detail":
-        return factory(_Detail, *keys)
     order = sorted(range(n), key=keys.__getitem__)
     quoted = [_quote(keys[i]) for i in order]
     if codec == "hash_input":
@@ -239,8 +229,6 @@ def _factory(codec: str, n: int) -> Callable:
     ``__init__``, the factory of one codec for details of ``n`` keys. The
     codec is one expression over the row. The source depends on the codec
     and ``n`` alone, so key text never enters it."""
-    keys = [f"k{i}" for i in range(n)]
-    detail = "{" + ", ".join(f"k{i}: r[{8 + i}]" for i in range(n)) + "}"
     values = "".join(f"{{t{j}}}{{q(r[p{j}])}}" for j in range(n)) + f"{{t{n}}}"
     if codec == "hash_input":
         params = ["q", *[f"p{j}" for j in range(n)], *[f"t{j}" for j in range(n + 1)]]
@@ -250,51 +238,33 @@ def _factory(codec: str, n: int) -> Callable:
         params = ["q", *[f"p{j}" for j in range(n)], *[f"t{j}" for j in range(n + 1)]]
         body = "f" + repr('{{"seq":{r[0]},"at":{r[1]},"actor":{q(r[2])},"action":{q(r[3])},'
                           '"object":{q(r[4])}' + values + '{q(r[5])},"this_hash":{q(r[6])}}}')
-    elif codec == "wire":
-        params = keys
-        body = ('{"seq": r[0], "at": r[1], "actor": r[2], "action": r[3], "object": r[4],'
-                f' "detail": {detail}}}')
     else:
-        params = ["D", *keys]
-        body = f"D({detail})"
+        params = [f"k{i}" for i in range(n)]
+        detail = ", ".join(f"k{i}: r[{8 + i}]" for i in range(n))
+        body = ('{"seq": r[0], "at": r[1], "actor": r[2], "action": r[3], "object": r[4],'
+                f' "detail": {{{detail}}}}}')
     namespace: dict = {}
     exec(f"def factory({', '.join(params)}):\n    return lambda r: {body}\n", namespace)
     return namespace["factory"]
 
 
-def _pack(seq, at, actor, action, object_id, prev_hash, this_hash, detail: dict,
-          plain: bool) -> list:
-    """An event's row, as a list. ``plain``: seq and at are ints and every
-    other field, key and value is a str, so the row takes a compiled shape."""
-    if plain:
-        return [seq, at, actor, action, object_id, prev_hash, this_hash,
-                _shape_id(tuple(detail)), *detail.values()]
-    return [seq, at, actor, action, object_id, prev_hash, this_hash, _GENERAL,
-            *[x for pair in detail.items() for x in pair]]
-
-
 def _row(event: AuditEvent) -> tuple:
-    """The row that stores ``event``."""
+    """The row that stores ``event``, of a compiled shape when it can take
+    one and of the general shape otherwise."""
     detail = event.detail
-    plain = (type(event.seq) is int and type(event.at) is int
-             and all(isinstance(x, str) for x in (
-                 event.actor, event.action, event.object, event.prev_hash, event.this_hash,
-                 *detail, *detail.values())))
-    return tuple(_pack(event.seq, event.at, event.actor, event.action, event.object,
-                       event.prev_hash, event.this_hash, detail, plain))
+    head = (event.seq, event.at, event.actor, event.action, event.object,
+            event.prev_hash, event.this_hash)
+    if (type(event.seq) is int and type(event.at) is int
+            and all(isinstance(x, str) for x in (*head[2:], *detail, *detail.values()))):
+        return (*head, _shape_id(tuple(detail)), *detail.values())
+    return (*head, _GENERAL, *[x for pair in detail.items() for x in pair])
 
 
 def _event(row) -> AuditEvent:
     """A fresh event read out of a row, with a read-only detail."""
-    return AuditEvent(row[0], row[1], row[2], row[3], row[4], _DETAIL[row[7]](row),
-                      row[5], row[6])
-
-
-def _read(rows: list[tuple], index):
-    """``rows[index]`` read out as fresh events: one, or a list for a slice."""
-    if isinstance(index, slice):
-        return [_event(row) for row in rows[index]]
-    return _event(rows[index])
+    sid = row[7]
+    detail = _Detail(zip(_FIELDS[sid], row[8:]) if sid else _general_detail(row))
+    return AuditEvent(row[0], row[1], row[2], row[3], row[4], detail, row[5], row[6])
 
 
 def _row_hash(row) -> str:
@@ -392,7 +362,9 @@ class _EventStore(MutableSequence):
         return len(self.items)
 
     def __getitem__(self, index):
-        return _read(self.items, index)
+        if isinstance(index, slice):
+            return [_event(row) for row in self.items[index]]
+        return _event(self.items[index])
 
     def __iter__(self):
         return map(_event, self.items)
@@ -417,29 +389,6 @@ class _EventStore(MutableSequence):
         if index < 0:
             index = max(index + len(self.items), 0)
         self.verified = min(self.verified, index)
-
-
-class SessionTrail(Sequence):
-    """One session's events in ledger order, as ``reconstruct_session``
-    read them out. Indexing or iterating builds fresh ``AuditEvent``s;
-    ``records`` holds the same events as the wire sends them, each seq, at,
-    actor, action, object and a plain detail dict, built from the rows by
-    their shapes' wire codecs."""
-
-    __slots__ = ("_rows", "records")
-
-    def __init__(self, rows: list[tuple], records: list[dict]):
-        self._rows = rows
-        self.records = records
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        return _read(self._rows, index)
-
-    def __iter__(self):
-        return map(_event, self._rows)
 
 
 class AuditLedger:
@@ -472,16 +421,17 @@ class AuditLedger:
                detail: dict[str, str] | None = None) -> int:
         if action not in ACTIONS:
             raise UnknownAction(f"action {action!r} not in the closed vocabulary")
+        if not isinstance(actor, str) or not isinstance(object_id, str):
+            raise TypeError("event actor and object must be strings")
         if detail is None:
             detail = {}
         for key, value in detail.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise TypeError("event detail must be a flat string map")
-        at = self._clock.now
         rows = self._events.items
         seq = len(rows) + 1
-        plain = type(at) is int and isinstance(actor, str) and isinstance(object_id, str)
-        row = _pack(seq, at, actor, action, object_id, self._last_hash, "", detail, plain)
+        row = [seq, self._clock.now, actor, action, object_id, self._last_hash, "",
+               _shape_id(tuple(detail)), *detail.values()]
         row[6] = digest = _row_hash(row)
         row = tuple(row)
         rows.append(row)
@@ -491,8 +441,6 @@ class AuditLedger:
 
     def _index(self, row: tuple) -> None:
         fields = _FIELDS[row[7]]
-        if fields is None:
-            fields = _general_fields(row)
         action, object_id = row[3], row[4]
         sid = None
         if object_id.startswith("s-") and object_id[2:].isdigit():
@@ -548,11 +496,6 @@ class AuditLedger:
     def __len__(self) -> int:
         return len(self._events.items)
 
-    def head_count(self) -> int:
-        """The event count. Not stored outside the ledger yet, so it cannot
-        reveal a truncated suffix."""
-        return len(self._events)
-
     def resolve_identity(self, arbitrary_user: str, at: int) -> str:
         spans = self._spans.get(arbitrary_user)
         if not spans:
@@ -562,12 +505,14 @@ class AuditLedger:
                 return span.principal
         raise NoSessionAtTime(f"{arbitrary_user} owned no session at t={at}")
 
-    def reconstruct_session(self, session_id: str) -> SessionTrail:
+    def reconstruct_session(self, session_id: str) -> list[dict]:
+        """The session's events in ledger order, as the wire sends them:
+        seq, at, actor, action, object and a plain detail dict."""
         rows = self._by_session.get(session_id)
         if not rows:
             raise UnknownSession(session_id)
         codecs = _WIRE
-        return SessionTrail(rows[:], [codecs[row[7]](row) for row in rows])
+        return [codecs[row[7]](row) for row in rows]
 
     def verify_chain(self) -> tuple[bool, int | None]:
         """Recompute the digests; returns (ok, first bad seq).

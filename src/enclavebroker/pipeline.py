@@ -184,8 +184,7 @@ class DeliveryPipeline:
     def deploy_image(self, operator: str, image_id: str, project_id: str,
                      presented_digest: str, vm_id: str | None = None) -> DeployedInstance:
         image = self.image(image_id)
-        if not self._directory.is_admin(operator):
-            raise Unauthorized(f"{operator} is not a platform administrator")
+        self._directory.require_admin(operator)
         if image.project_id != project_id:
             raise Unauthorized(f"{image_id} targets {image.project_id}, not {project_id}")
         if image.state is not ImageState.APPROVED:
@@ -205,8 +204,7 @@ class DeliveryPipeline:
                           new_image_id: str) -> DeployedInstance:
         old = self.instance(instance_id)
         new_image = self.image(new_image_id)
-        if not self._directory.is_admin(operator):
-            raise Unauthorized(f"{operator} is not a platform administrator")
+        self._directory.require_admin(operator)
         if new_image.state is not ImageState.APPROVED:
             raise NotApproved(f"{new_image_id} is {new_image.state.value}")
         old_image = self.image(old.image_id)
@@ -246,8 +244,7 @@ class DeliveryPipeline:
 
     def revoke_image(self, actor: str, image_id: str) -> ContainerImage:
         image = self.image(image_id)
-        if not self._directory.is_admin(actor):
-            raise Unauthorized(f"{actor} is not a platform administrator")
+        self._directory.require_admin(actor)
         image.state = ImageState.REVOKED
         instance = self._instances.get(image.instance)
         live = (instance is not None and not instance.retired

@@ -91,8 +91,7 @@ class PolicyEngine:
                          brokers: set[str] | list[str] | None = None,
                          proxy_whitelist: set[str] | list[str] | None = None,
                          retention_days: int | None = None) -> Project:
-        if not self._directory.is_admin(actor):
-            raise Unauthorized(f"{actor} is not a platform administrator")
+        self._directory.require_admin(actor)
         if project_id in self._projects:
             raise DuplicateProject(project_id)
         stewards = set(stewards)
@@ -151,8 +150,7 @@ class PolicyEngine:
 
     def set_proxy_whitelist(self, actor: str, project_id: str,
                             origins: list[str] | set[str]) -> Project:
-        if not self._directory.is_admin(actor):
-            raise Unauthorized(f"{actor} is not a platform administrator")
+        self._directory.require_admin(actor)
         project = self.get_project(project_id)
         project.proxy_whitelist = {_normalize_origin(o) for o in origins}
         self._ledger.append(actor, "proxy-config", project_id, {
@@ -162,8 +160,7 @@ class PolicyEngine:
         return project
 
     def set_brokers(self, actor: str, project_id: str, netids: list[str] | set[str]) -> Project:
-        if not self._directory.is_admin(actor):
-            raise Unauthorized(f"{actor} is not a platform administrator")
+        self._directory.require_admin(actor)
         project = self.get_project(project_id)
         for netid in sorted(set(netids)):
             if not self._directory.has_user(netid):

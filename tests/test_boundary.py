@@ -427,3 +427,51 @@ def test_origin_without_scheme_is_a_client_error():
         make_broker().op("set_proxy_whitelist", {"actor": "admin1", "project": "study",
                                                  "origins": ["provider.example.org"]})
     assert err.value.code == "invalid-spec"
+
+
+# The ops only a platform administrator may call, each with arguments an
+# administrator's call succeeds with; ``who`` is the acting netid and ``c``
+# the objects that ``admin_ops_broker`` set up.
+ADMIN_ONLY = {
+    "deactivate_user": lambda who, c: {"actor": who, "netid": "res3"},
+    "create_group": lambda who, c: {"name": "reviewers", "actor": who},
+    "register_project": lambda who, c: {"actor": who, "id": "p1",
+                                        "classification": "restricted", "stewards": ["stw1"]},
+    "set_proxy_whitelist": lambda who, c: {"actor": who, "project": "study",
+                                           "origins": ["https://provider.example.org"]},
+    "set_brokers": lambda who, c: {"actor": who, "project": "study", "netids": ["broker1"]},
+    "register_exception": lambda who, c: {"actor": who, "service": "https", "src": "campus",
+                                          "dst": c["vm"], "documented_by": "inbound"},
+    "deploy_image": lambda who, c: {"operator": who, "image": c["spare"], "project": "study",
+                                    "digest": c["digest"]},
+    "update_deployment": lambda who, c: {"operator": who, "instance": c["instance"],
+                                         "image": c["spare"]},
+    "revoke_image": lambda who, c: {"actor": who, "image": c["deployed"]},
+}
+
+
+def admin_ops_broker():
+    """make_broker with one deployed image and one approved spare."""
+    broker = make_broker()
+    images = []
+    for payload in ("layers:v1", "layers:v2"):
+        image = broker.pipeline.submit_image("res1", "study", payload, source="campus")
+        broker.pipeline.vet_image("vetter1", image.id, "clean")
+        broker.pipeline.approve_image("stw1", image.id)
+        images.append(image)
+    deployed, spare = images
+    instance = broker.pipeline.deploy_image("admin1", deployed.id, "study", deployed.digest)
+    return broker, {"vm": instance.vm_id, "instance": instance.id, "deployed": deployed.id,
+                    "spare": spare.id, "digest": spare.digest}
+
+
+@pytest.mark.parametrize("op", sorted(ADMIN_ONLY))
+def test_admin_only_op_refuses_a_non_admin_and_appends_nothing(op):
+    broker, made = admin_ops_broker()
+    n = len(broker.ledger)
+    with pytest.raises(BrokerError) as err:
+        broker.op(op, ADMIN_ONLY[op]("stw1", made))
+    assert (err.value.code, str(err.value)) == (
+        "unauthorized", "stw1 is not a platform administrator")
+    assert len(broker.ledger) == n
+    broker.op(op, ADMIN_ONLY[op]("admin1", made))

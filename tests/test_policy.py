@@ -96,7 +96,7 @@ class TestGrants:
         assert session.state.value == "closed"
         assert broker.sessions.authenticate_to_vm(secret, session.vm_id).value == "rejected"
         trail = broker.ledger.reconstruct_session(session.id)
-        assert trail[-1].action == "revoke-forced-close"
+        assert trail[-1]["action"] == "revoke-forced-close"
 
 
 class TestCheckAccess:

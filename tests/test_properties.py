@@ -13,7 +13,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from enclavebroker.configio import build_broker
 from enclavebroker.errors import BrokerError, ContentDestroyed, UntrustedIssuer
 from enclavebroker.identity import FederatedAssertion
-from enclavebroker.ledger import AuditEvent, event_hash
+from enclavebroker.ledger import event_hash
 from enclavebroker.loadgen import build_directory, build_scenario, build_topology
 from enclavebroker.model import AccessMode
 from enclavebroker.sessions import DAY, AuthOutcome
@@ -53,25 +53,20 @@ def test_federated_never_accepts_untrusted_issuer(issuer):
             broker.directory.assert_federated(assertion)
 
 
-# Any JSON scalar, so that the hand-built encoding is checked on the
-# fields it writes itself (text, ints) and on those it leaves to json.dumps.
+# Any JSON scalar, so the hash input is checked against json.dumps on every
+# type a field can take.
 _scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.floats(), st.none())
 
 
 @given(fields=st.tuples(_scalars, _scalars, _scalars, _scalars, _scalars,
-                        st.dictionaries(st.text(), _scalars), _scalars, _scalars))
+                        st.dictionaries(st.text(), _scalars), _scalars))
 @settings(max_examples=1000, deadline=None)
 def test_canonical_encoding_equals_json_dumps(fields):
-    seq, at, actor, action, object_id, detail, prev_hash, this_hash = fields
+    seq, at, actor, action, object_id, detail, prev_hash = fields
     body = json.dumps([seq, at, actor, action, object_id, sorted(detail.items()), prev_hash],
                       separators=(",", ":"))
     assert (event_hash(seq, at, actor, action, object_id, detail, prev_hash)
             == hashlib.sha256(body.encode("utf-8")).hexdigest())
-    record = {"seq": seq, "at": at, "actor": actor, "action": action, "object": object_id,
-              "detail": {k: detail[k] for k in sorted(detail)}, "prev_hash": prev_hash,
-              "this_hash": this_hash}
-    event = AuditEvent(seq, at, actor, action, object_id, detail, prev_hash, this_hash)
-    assert event.export_line() == json.dumps(record, separators=(",", ":"))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -101,7 +101,7 @@ class TestOpenSession:
     def test_open_emits_session_trail(self, broker):
         session, _ = open_rdp(broker)
         trail = broker.ledger.reconstruct_session(session.id)
-        assert [e.action for e in trail][:3] == ["authn", "map", "attach"]
+        assert [e["action"] for e in trail][:3] == ["authn", "map", "attach"]
 
     def test_federated_collaborator_can_open_session(self, broker):
         """External collaborator: sponsored affiliate, federated assertion
@@ -118,7 +118,7 @@ class TestOpenSession:
         principal = broker.directory.assert_federated(assertion)
         session, _ = broker.sessions.open_session(principal, "study", "rdp", False)
         authn = broker.ledger.reconstruct_session(session.id)[0]
-        assert authn.detail["method"] == "federated"
+        assert authn["detail"]["method"] == "federated"
 
     def test_revoke_and_vm_destroy_close_through_the_open_index(self, broker):
         first, _ = open_rdp(broker, "res1")

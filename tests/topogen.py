@@ -32,6 +32,9 @@ class StubDirectory:
     def is_admin(self, netid: str) -> bool:
         return True
 
+    def require_admin(self, actor: str) -> None:
+        pass
+
     def has_group(self, name: str) -> bool:
         return True
 
